@@ -3,7 +3,7 @@
 Four mechanisms, each a pure forward-pass operation verified against an
 independent direct-summation implementation:
 
-- fftconv: depthwise 2D cross-correlation via padded real FFTs
+- fftconv: depthwise 2D cross-correlation via FFT convolution
 - fit: Fourier token-mixing transformer blocks (plus an attention baseline)
 - ssm: HiPPO/S4 state-space convolution kernels
 - gconv: multi-scale interpolated global convolution kernels
@@ -49,7 +49,7 @@ from .gconv import (
     gconv_forward,
     scale_count,
 )
-from .spectral import dft_naive, fft_axis, irfft2, rfft2
+from .spectral import dft_naive, fft_axis, irfft2, linear_fft_conv, rfft2
 from .ssm import (
     SsmKernel,
     SsmParams,
@@ -72,7 +72,7 @@ __all__ = [
     "fourier_mixing", "gelu", "init_fit_model", "layer_norm", "load_model",
     "patch_embed", "save_model", "softmax",
     "GConvParams", "bilinear_resize_1d", "build_kernel", "gconv_forward", "scale_count",
-    "dft_naive", "fft_axis", "irfft2", "rfft2",
+    "dft_naive", "fft_axis", "irfft2", "linear_fft_conv", "rfft2",
     "SsmKernel", "SsmParams", "causal_fft_conv", "hippo_legs", "matrix_exp", "ssm_kernel",
     "Rng", "randn", "read_tensor", "write_tensor",
     "SuiteResult", "run_suites",

@@ -1,5 +1,5 @@
 """Depthwise 2D cross-correlation: direct sliding-window evaluation and the
-FFT route through padded real transforms with a conjugated kernel spectrum.
+FFT route through a linear convolution with the flipped kernel.
 
 Cross-correlation (no kernel flip) is what CNN "convolution" layers compute:
 
@@ -19,12 +19,12 @@ Output extents for an H x W image and Kh x Kw kernel:
 frequency-domain pipeline); `same` is the centered convention CNNs use.  The
 two disagree about what "the" output is, so both are exposed as modes.
 
-The FFT route pads both operands to (H+Kh-1, W+Kw-1) — large enough that
-circular convolution equals linear convolution — transforms with rfft2,
-multiplies the image spectrum by the *conjugated* kernel spectrum
-(conjugation implemented by negating the imaginary part), inverts, and
-shifts/crops per mode.  direct_xcorr2d is the O(n^2 m^2) oracle it is
-verified against.
+The FFT route computes correlation as convolution with the index-reversed
+kernel: spectral.linear_fft_conv gives the full (H+Kh-1, W+Kw-1) support,
+which is `full` itself, and `same`/`valid` are crops of it starting at
+(Kh//2, Kw//2) and (Kh-1, Kw-1).  Circular mode reverses the folded kernel
+modulo the image extents and convolves at exactly those extents.
+direct_xcorr2d is the O(n^2 m^2) oracle it is verified against.
 """
 
 from __future__ import annotations
@@ -132,35 +132,22 @@ def _fold_mod(kernel, h: int, w: int) -> np.ndarray:
 
 
 def fft_xcorr2d(image, kernel, bias=None, mode: str = "same") -> np.ndarray:
-    """Cross-correlation via padded real FFTs and a conjugated kernel spectrum."""
+    """Cross-correlation as an FFT convolution with the flipped kernel."""
     img, ker = _check_operands(image, kernel, bias, mode)
-    c, h, w = img.shape
+    _, h, w = img.shape
     _, kh, kw = ker.shape
 
     if mode == "circular":
-        kernel_ft = spectral.rfft2(_fold_mod(ker, h, w))
-        kernel_ft.imag *= -1
-        out = spectral.irfft2(spectral.rfft2(img) * kernel_ft, (h, w))
-        return _add_bias(out, bias)
+        flipped = np.roll(_fold_mod(ker, h, w)[:, ::-1, ::-1], 1, axis=(1, 2))
+        return _add_bias(fft_circular_conv2d(img, flipped), bias)
 
-    ph, pw = h + kh - 1, w + kw - 1
-    img_p = np.zeros((c, ph, pw), dtype=img.dtype)
-    img_p[:, :h, :w] = img
-    ker_p = np.zeros((c, ph, pw), dtype=ker.dtype)
-    ker_p[:, :kh, :kw] = ker
-
-    kernel_ft = spectral.rfft2(ker_p)
-    kernel_ft.imag *= -1
-    raw = spectral.irfft2(spectral.rfft2(img_p) * kernel_ft, (ph, pw))
-
-    if mode == "valid":
-        out = raw[:, : h - kh + 1, : w - kw + 1]
-    else:
-        full = np.roll(raw, (kh - 1, kw - 1), axis=(1, 2))
-        if mode == "full":
-            out = full
-        else:  # same: centered crop of the full support
-            out = full[:, kh // 2 : kh // 2 + h, kw // 2 : kw // 2 + w]
+    full = spectral.linear_fft_conv(img, ker[:, ::-1, ::-1], (1, 2))
+    if mode == "full":
+        out = full
+    elif mode == "same":
+        out = full[:, kh // 2 : kh // 2 + h, kw // 2 : kw // 2 + w]
+    else:  # valid
+        out = full[:, kh - 1 : h, kw - 1 : w]
     return _add_bias(np.ascontiguousarray(out), bias)
 
 
@@ -207,7 +194,8 @@ def bench_conv(image_sizes, kernel_sizes, repeats: int = 5, dtype=np.float32, se
             - direct_xcorr2d(guard_img, guard_ker, mode="same")
         )
     )
-    assert guard_diff <= 1e-10, f"conv guard failed: max |fft - direct| = {guard_diff}"
+    if not guard_diff <= 1e-10:
+        raise RuntimeError(f"conv guard failed: max |fft - direct| = {guard_diff}")
 
     rng = Rng(seed)
     rows = []

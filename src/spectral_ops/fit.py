@@ -29,6 +29,7 @@ from pathlib import Path
 import numpy as np
 from scipy.special import erf
 
+from . import spectral
 from .errors import ConfigError, InvalidShapeError
 from .tensor import Rng, randn, read_tensor, write_tensor
 
@@ -187,7 +188,7 @@ def fourier_mixing(x) -> np.ndarray:
     x = np.asarray(x)
     if x.ndim != 2:
         raise InvalidShapeError(f"expected [S, d] input, got rank {x.ndim}")
-    return np.fft.fft(np.fft.fft(x, axis=-1), axis=-2).real
+    return spectral.fft_axis(spectral.fft_axis(x, -1), -2).real
 
 
 def attention_mixing(x, block: BlockWeights, num_heads: int, return_weights: bool = False):

@@ -16,9 +16,9 @@ taken from the same multi-scale construction.  The forward output is
 
     y[t] = sum_{s=0..L-1} k_f[s] * u[t-s]  +  sum_{s=0..L-1} k_b[s] * u[t+s]
 
-realized as one non-circular FFT convolution with the two-sided length
-(2L-1) kernel h, h[L-1+s] = k_f[s] and h[L-1-s] += k_b[s] (the center tap is
-k_f[0] + k_b[0]).  Unidirectional gconv is the first sum alone.
+realized as samples L-1 .. 2L-2 of one linear FFT convolution with the
+two-sided (2L-1)-tap kernel h[L-1+s] = k_f[s], h[L-1-s] += k_b[s] (center
+tap k_f[0] + k_b[0]).  Unidirectional gconv is the first sum alone.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import spectral
 from .errors import ConfigError, InvalidShapeError
 
 
@@ -119,12 +120,8 @@ def build_kernel(params: GConvParams, L: int) -> np.ndarray:
 
 
 def gconv_forward(signal, params: GConvParams) -> np.ndarray:
-    """FFT convolution of a [L, depth] signal with the built kernel, plus bias.
-
-    Both operands are zero-padded past the wrap-around point (2L-1 for the
-    causal kernel, 3L-2 for the two-sided one), so the circular FFT product
-    computes a linear convolution; the L output samples are then cut out.
-    """
+    """FFT convolution of a [L, depth] signal with the built kernel, plus bias:
+    an L-sample crop of spectral.linear_fft_conv along the sequence axis."""
     sig = np.asarray(signal)
     if sig.ndim != 2:
         raise InvalidShapeError(f"signal must be [L, depth], got rank {sig.ndim}")
@@ -136,17 +133,13 @@ def gconv_forward(signal, params: GConvParams) -> np.ndarray:
     kernel = build_kernel(params, L)
 
     if not params.bidirectional:
-        n = 2 * L - 1
-        spec = np.fft.rfft(kernel, n, axis=0) * np.fft.rfft(sig, n, axis=0)
-        out = np.fft.irfft(spec, n, axis=0)[:L]
+        out = spectral.linear_fft_conv(kernel, sig, (0,))[:L]
     else:
         k_f, k_b = kernel[:L], kernel[L:]
         two_sided = np.zeros((2 * L - 1, params.depth))
         two_sided[L - 1 :] = k_f
         two_sided[L - 1 :: -1] += k_b  # h[L-1-s] += k_b[s]
-        n = 3 * L - 2
-        spec = np.fft.rfft(two_sided, n, axis=0) * np.fft.rfft(sig, n, axis=0)
-        out = np.fft.irfft(spec, n, axis=0)[L - 1 : 2 * L - 1]
+        out = spectral.linear_fft_conv(two_sided, sig, (0,))[L - 1 : 2 * L - 1]
 
     if params.bias is not None:
         out = out + np.asarray(params.bias)[None, :]

@@ -1,14 +1,15 @@
-"""DFT/FFT contracts plus a naive direct-summation oracle.
+"""The library's one FFT seam: DFT/FFT contracts, the shared linear
+convolution primitive, and a naive direct-summation oracle.
 
 Convention: the forward transform is unnormalized with e^{-2 pi i nk/N}
-phases; the inverse carries the 1/N factor.  With that pairing the
-forward-multiply-inverse pipelines in the convolution modules need no extra
-scaling.
+phases; the inverse carries the 1/N factor, so forward-multiply-inverse
+pipelines need no extra scaling.
 
-``fft_axis``/``rfft2``/``irfft2`` are backed by numpy's pocketfft, which
-handles arbitrary (non-power-of-two) lengths.  ``dft_naive`` is the
-independent O(n^2) evaluation of the defining sum and stays the oracle the
-fast path is verified against — do not "optimize" it into an FFT.
+The transforms are numpy's pocketfft, which handles any length and keeps f32
+in complex64.  ``linear_fft_conv`` holds the one padding policy for linear
+convolution (the smallest 5-smooth length that holds the whole support); the
+convolution modules crop its output.  ``dft_naive`` is the independent O(n^2)
+oracle the fast path is verified against — do not "optimize" it into an FFT.
 """
 
 from __future__ import annotations
@@ -76,3 +77,35 @@ def irfft2(spectrum, out_extents) -> np.ndarray:
             f"({h}, {w}): expected ({h}, {w // 2 + 1})"
         )
     return np.fft.irfft2(a, s=(h, w), axes=(-2, -1))
+
+
+def _fast_len(n: int) -> int:
+    """Smallest 5-smooth integer (2^a 3^b 5^c) >= n, for n >= 1."""
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
+def linear_fft_conv(a, b, axes) -> np.ndarray:
+    """Full linear convolution of real arrays `a` and `b` along `axes`.
+
+    out[..., p, ...] = sum_i a[..., p - i, ...] * b[..., i, ...] over each
+    listed axis, so each has extent a + b - 1; the other axes broadcast.
+    """
+    a, b = np.asarray(a), np.asarray(b)
+    if a.ndim != b.ndim:
+        raise InvalidShapeError(f"operand ranks differ: {a.ndim} and {b.ndim}")
+    if np.iscomplexobj(a) or np.iscomplexobj(b):
+        raise InvalidShapeError("linear_fft_conv expects real operands")
+    axes = tuple(_resolve_axis(a.ndim, ax) for ax in axes)
+    extents = {ax: a.shape[ax] + b.shape[ax] - 1 for ax in axes}
+    lengths = [_fast_len(extents[ax]) for ax in axes]
+    spec = np.fft.rfftn(a, lengths, axes) * np.fft.rfftn(b, lengths, axes)
+    full = np.fft.irfftn(spec, lengths, axes)
+    return full[tuple(slice(extents.get(ax)) for ax in range(a.ndim))]

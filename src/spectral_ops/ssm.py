@@ -3,7 +3,7 @@
 Builds the lower-triangular polynomial-basis transition pair (A, B),
 materializes the kernel K[t] = C . (e^A)^t . B at integer times t (unit time
 step, no bilinear/zero-order-hold discretization machinery), and applies the
-kernel causally with a padded FFT convolution.
+kernel causally as the first L samples of spectral.linear_fft_conv.
 
 Two sign conventions are exposed.  `as_written` keeps the transition matrix
 all-positive exactly as the defining formula reads, which makes e^{tA} blow
@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import spectral
 from .errors import ConfigError, InvalidShapeError
 
 SIGN_CONVENTIONS = ("as_written", "negated")
@@ -73,27 +74,14 @@ def hippo_legs(n: int, sign_convention: str = "negated") -> SsmParams:
 
 
 def matrix_exp(m) -> np.ndarray:
-    """e^M by scaling-and-squaring around a truncated Taylor core.
+    """e^M of a square matrix, by scipy.linalg.expm (Pade scaling-and-squaring)."""
+    # lazy: at module level it adds tens of ms to every `demo` start, which never uses it
+    from scipy.linalg import expm
 
-    M is scaled by 2^-s until its 1-norm is <= 1/2, the series is summed to
-    machine precision there, and the result squared back s times.  Intended
-    for the desk-scale state matrices here (N <= 64).
-    """
     a = np.asarray(m, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise InvalidShapeError(f"matrix_exp needs a square matrix, got shape {a.shape}")
-    norm = np.linalg.norm(a, 1)
-    s = max(0, int(np.ceil(np.log2(norm))) + 1) if norm > 0 else 0
-    t = a / (2.0**s)
-    acc = np.eye(a.shape[0])
-    term = np.eye(a.shape[0])
-    # ||t||_1 <= 1/2, so 24 terms push the truncation error below f64 roundoff
-    for k in range(1, 25):
-        term = term @ t / k
-        acc = acc + term
-    for _ in range(s):
-        acc = acc @ acc
-    return acc
+    return expm(a)
 
 
 def ssm_kernel(params: SsmParams, L: int) -> SsmKernel:
@@ -119,11 +107,10 @@ def ssm_kernel(params: SsmParams, L: int) -> SsmKernel:
 
 
 def causal_fft_conv(kernel, u) -> np.ndarray:
-    """y[t] = sum_{s<=t} K[s] * u[t-s] via FFTs padded to 2L-1.
+    """y[t] = sum_{s<=t} K[s] * u[t-s]: the first L samples of the full
+    linear convolution, which no future sample can wrap into.
 
-    The padding removes wrap-around, so truncating the inverse transform to
-    L gives exactly the causal sum.  `kernel` may be an SsmKernel or a plain
-    rank-1 array.
+    `kernel` may be an SsmKernel or a plain rank-1 array.
     """
     k = kernel.values if isinstance(kernel, SsmKernel) else np.asarray(kernel)
     u = np.asarray(u)
@@ -133,7 +120,4 @@ def causal_fft_conv(kernel, u) -> np.ndarray:
         raise InvalidShapeError(
             f"kernel length {k.shape[0]} != input length {u.shape[0]}"
         )
-    L = k.shape[0]
-    n = 2 * L - 1
-    spec = np.fft.rfft(k, n) * np.fft.rfft(u, n)
-    return np.fft.irfft(spec, n)[:L]
+    return spectral.linear_fft_conv(k, u, (0,))[: k.shape[0]]

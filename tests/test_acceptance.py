@@ -11,6 +11,7 @@ to see the lines as they pass; a plain pytest run shows them only on failure.
 """
 
 import math
+import os
 import subprocess
 import sys
 import time
@@ -18,6 +19,7 @@ import time
 import numpy as np
 import scipy.linalg
 
+import spectral_ops
 from spectral_ops import (
     FitConfig,
     GConvParams,
@@ -254,10 +256,15 @@ def test_09_gconv():
 
 
 def test_10_end_to_end_determinism(tmp_path):
+    # absolute, so children started with cwd=tmp_path still find the package
+    src_dir = os.path.dirname(os.path.dirname(os.path.abspath(spectral_ops.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src_dir, env.get("PYTHONPATH")]))
+
     def run(*args):
         return subprocess.run(
             [sys.executable, "-m", "spectral_ops", *args],
-            capture_output=True, text=True, cwd=tmp_path,
+            capture_output=True, text=True, cwd=tmp_path, env=env,
         )
 
     verify_proc = run("verify")

@@ -6,12 +6,22 @@ import sys
 import numpy as np
 import pytest
 
+import spectral_ops
 from spectral_ops import fftconv, verify
 from spectral_ops.cli import main
 
+# absolute, so children started with cwd=tmp_path still find the package
+SRC_DIR = os.path.dirname(os.path.dirname(os.path.abspath(spectral_ops.__file__)))
+
+
+def child_env():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC_DIR, env.get("PYTHONPATH")]))
+    return env
+
 
 def run_cli(*args, env_extra=None, cwd=None):
-    env = dict(os.environ)
+    env = child_env()
     if env_extra:
         env.update(env_extra)
     return subprocess.run(
@@ -97,6 +107,20 @@ class TestBenchCommands:
         methods = {line.split(",")[2] for line in lines[1:]}
         assert methods == {"fourier", "attention"}
 
+    def test_conv_guard_raises_under_optimize(self, monkeypatch, capsys):
+        # a RuntimeError, unlike an assert, survives python -O
+        real = fftconv.fft_xcorr2d
+
+        def crooked(image, kernel, *args, **kwargs):
+            return real(image, kernel + 1e-6, *args, **kwargs)
+
+        monkeypatch.setattr(fftconv, "fft_xcorr2d", crooked)
+        with pytest.raises(RuntimeError, match="conv guard failed"):
+            fftconv.bench_conv([8], [3], repeats=1)
+        assert main(["bench", "conv", "--image-sizes", "8", "--kernel-sizes", "3",
+                     "--repeats", "1"]) == 1
+        assert "conv guard failed" in capsys.readouterr().err
+
     def test_malformed_size_list_is_usage_error(self):
         proc = run_cli("bench", "conv", "--image-sizes", "8,x", "--kernel-sizes", "3")
         assert proc.returncode == 2
@@ -107,6 +131,19 @@ class TestBenchCommands:
                      "--repeats", "1", "--out", str(missing)])
         assert code == 1
         assert "error:" in capsys.readouterr().err
+
+
+class TestImport:
+    def test_bare_import_loads_no_heavy_scipy_modules(self):
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, spectral_ops; "
+             "print(sorted(m for m in ('scipy.fft', 'scipy.linalg', 'scipy.signal') "
+             "if m in sys.modules))"],
+            capture_output=True, text=True, env=child_env(),
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
 
 
 class TestModelCommands:

@@ -1,7 +1,24 @@
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from spectral_ops import InvalidShapeError, Rng, dft_naive, fft_axis, irfft2, randn, rfft2
+import spectral_ops
+from spectral_ops import (
+    GConvParams,
+    InvalidShapeError,
+    Rng,
+    causal_fft_conv,
+    dft_naive,
+    fft_axis,
+    fft_xcorr2d,
+    gconv_forward,
+    irfft2,
+    linear_fft_conv,
+    randn,
+    rfft2,
+)
 
 
 def crandn(rng, n):
@@ -105,3 +122,92 @@ class TestRealTransforms:
     def test_rfft2_rejects_complex(self):
         with pytest.raises(InvalidShapeError):
             rfft2(np.zeros((4, 4), dtype=complex))
+
+
+class TestLinearFftConv:
+    @pytest.mark.parametrize("dtype,tol", [(np.float64, 1e-10), (np.float32, 1e-3)])
+    def test_matches_np_convolve(self, dtype, tol):
+        rng = Rng(12)
+        for n in range(1, 41):
+            for m in range(1, 10):
+                a = randn(rng, (n,), dtype)
+                b = randn(rng, (m,), dtype)
+                got = linear_fft_conv(a, b, (0,))
+                assert got.dtype == dtype
+                want = np.convolve(a.astype(np.float64), b.astype(np.float64))
+                assert got.shape == want.shape
+                assert np.max(np.abs(got - want)) <= tol, (n, m)
+
+    def test_other_axes_broadcast(self):
+        rng = Rng(13)
+        a = randn(rng, (3, 7, 5))
+        b = randn(rng, (1, 4, 5))
+        got = linear_fft_conv(a, b, (1,))
+        assert got.shape == (3, 10, 5)
+        for c in range(3):
+            for d in range(5):
+                want = np.convolve(a[c, :, d], b[0, :, d])
+                assert np.max(np.abs(got[c, :, d] - want)) <= 1e-12
+
+    def test_rejects_rank_mismatch_and_complex(self):
+        with pytest.raises(InvalidShapeError):
+            linear_fft_conv(np.zeros((2, 3)), np.zeros(3), (0,))
+        with pytest.raises(InvalidShapeError):
+            linear_fft_conv(np.zeros(3, dtype=complex), np.zeros(3), (0,))
+
+
+def _five_smooth(n):
+    for p in (2, 3, 5):
+        while n % p == 0:
+            n //= p
+    return n == 1
+
+
+def _xcorr_224_31():
+    rng = Rng(14)
+    img, ker = randn(rng, (1, 224, 224)), randn(rng, (1, 31, 31))
+    for mode in ("full", "same", "valid"):
+        fft_xcorr2d(img, ker, mode=mode)
+
+
+def _causal_16384():
+    rng = Rng(15)
+    causal_fft_conv(randn(rng, (16384,)), randn(rng, (16384,)))
+
+
+def _bidirectional_gconv_16384():
+    rng = Rng(16)
+    params = GConvParams(width=32, depth=2, base_kernel=randn(rng, (32, 2)),
+                         bidirectional=True)
+    gconv_forward(randn(rng, (16384, 2)), params)
+
+
+# linear supports 254 = 2*127, 32767 = 7*31*151 and 49150 = 2*5^2*983
+@pytest.mark.parametrize("run,support", [
+    (_xcorr_224_31, 254), (_causal_16384, 32767), (_bidirectional_gconv_16384, 49150),
+])
+def test_padded_transform_lengths_are_five_smooth(monkeypatch, run, support):
+    lengths = []
+    for name in ("rfftn", "irfftn"):
+        def recording(a, s=None, axes=None, *args, real=getattr(np.fft, name), **kwargs):
+            lengths.extend(s)
+            return real(a, s, axes, *args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, recording)
+    run()
+    assert lengths
+    assert all(_five_smooth(n) and n >= support for n in lengths), lengths
+
+
+def test_raw_fft_calls_only_in_the_seam():
+    # verify.py keeps raw calls on purpose: they are independent oracles
+    raw = re.compile(r"np\.fft|numpy\.fft|scipy\.fft")
+    src = Path(spectral_ops.__file__).parent
+    offenders = [
+        f"{path.name}:{lineno}"
+        for path in sorted(src.glob("*.py"))
+        if path.name not in ("spectral.py", "verify.py")
+        for lineno, line in enumerate(path.read_text().splitlines(), 1)
+        if raw.search(line)
+    ]
+    assert offenders == []
