@@ -16,6 +16,7 @@ from spectral_ops import (
     fft_xcorr2d,
     randn,
 )
+from spectral_ops.oracles import direct_conv_full
 
 rng = Rng(7)
 
@@ -38,10 +39,7 @@ n, m = 16, 5
 img1 = randn(rng, (n, n))
 ker1 = randn(rng, (m, m))
 
-full = np.zeros((n + m - 1, n + m - 1))
-for i in range(m):
-    for j in range(m):
-        full[i : i + n, j : j + n] += ker1[i, j] * img1
+full = direct_conv_full(img1, ker1)
 circ = fft_circular_conv2d(img1, ker1)
 
 band = m - 1

@@ -16,6 +16,7 @@ from spectral_ops import (
     randn,
     scale_count,
 )
+from spectral_ops.oracles import direct_gconv
 
 # --- bilinear resize, the building block ----------------------------------------
 ramp = np.array([[0.0], [1.0]])
@@ -40,12 +41,7 @@ params = GConvParams(width=8, depth=depth, base_kernel=randn(rng, (8, depth)),
 u = randn(rng, (L, depth))
 y = gconv_forward(u, params)
 
-k = build_kernel(params, L)
-direct = np.zeros_like(u)
-for t in range(L):
-    for s in range(t + 1):
-        direct[t] += k[s] * u[t - s]
-direct += params.bias
+direct = direct_gconv(u, build_kernel(params, L)) + params.bias
 print(f"\nunidirectional forward vs direct loop (L={L}, depth={depth}): "
       f"max err {np.max(np.abs(y - direct)):.2e}")
 
@@ -53,16 +49,6 @@ print(f"\nunidirectional forward vs direct loop (L={L}, depth={depth}): "
 # build_kernel returns [2L, depth]: forward taps k_f then backward taps k_b,
 # y[t] = sum_s k_f[s] u[t-s] + sum_s k_b[s] u[t+s].
 params.bidirectional = True
-built = build_kernel(params, L)
-k_f, k_b = built[:L], built[L:]
 y2 = gconv_forward(u, params)
-
-direct2 = np.zeros_like(u)
-for t in range(L):
-    for s in range(L):
-        if t - s >= 0:
-            direct2[t] += k_f[s] * u[t - s]
-        if t + s < L:
-            direct2[t] += k_b[s] * u[t + s]
-direct2 += params.bias
+direct2 = direct_gconv(u, build_kernel(params, L)) + params.bias
 print(f"bidirectional forward vs direct loop: max err {np.max(np.abs(y2 - direct2)):.2e}")

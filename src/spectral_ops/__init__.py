@@ -49,7 +49,8 @@ from .gconv import (
     gconv_forward,
     scale_count,
 )
-from .spectral import dft_naive, fft_axis, irfft2, linear_fft_conv, rfft2
+from .oracles import dft_naive
+from .spectral import fft_axis, irfft2, linear_fft_conv, rfft2
 from .ssm import (
     SsmKernel,
     SsmParams,

@@ -55,7 +55,8 @@ def bilinear_resize_1d(segment, new_len: int) -> np.ndarray:
     Output position i samples source coordinate (i + 0.5) * n/new_len - 0.5,
     clamped to [0, n-1] (align-corners false).  Interpolation is computed as
     a + frac * (b - a), which keeps constant segments exactly constant and
-    never exceeds the endpoint magnitudes.
+    never exceeds the endpoint magnitudes.  A floating segment keeps its
+    dtype; an integer one gives float64.
     """
     seg = np.asarray(segment)
     if seg.ndim != 2:
@@ -67,7 +68,7 @@ def bilinear_resize_1d(segment, new_len: int) -> np.ndarray:
     src = np.clip(src, 0.0, n - 1.0)
     lo = np.floor(src).astype(np.intp)
     hi = np.minimum(lo + 1, n - 1)
-    frac = (src - lo)[:, None]
+    frac = (src - lo)[:, None].astype(np.result_type(seg.dtype, np.float32), copy=False)
     a = seg[lo]
     return a + frac * (seg[hi] - a)
 
@@ -136,11 +137,11 @@ def gconv_forward(signal, params: GConvParams) -> np.ndarray:
         out = spectral.linear_fft_conv(kernel, sig, (0,))[:L]
     else:
         k_f, k_b = kernel[:L], kernel[L:]
-        two_sided = np.zeros((2 * L - 1, params.depth))
+        two_sided = np.zeros((2 * L - 1, params.depth), dtype=kernel.dtype)
         two_sided[L - 1 :] = k_f
         two_sided[L - 1 :: -1] += k_b  # h[L-1-s] += k_b[s]
         out = spectral.linear_fft_conv(two_sided, sig, (0,))[L - 1 : 2 * L - 1]
 
     if params.bias is not None:
-        out = out + np.asarray(params.bias)[None, :]
+        out = out + np.asarray(params.bias, dtype=out.dtype)[None, :]
     return out

@@ -1,5 +1,5 @@
-"""The library's one FFT seam: DFT/FFT contracts, the shared linear
-convolution primitive, and a naive direct-summation oracle.
+"""The library's one FFT seam: DFT/FFT contracts and the shared linear
+convolution primitive.
 
 Convention: the forward transform is unnormalized with e^{-2 pi i nk/N}
 phases; the inverse carries the 1/N factor, so forward-multiply-inverse
@@ -8,8 +8,8 @@ pipelines need no extra scaling.
 The transforms are numpy's pocketfft, which handles any length and keeps f32
 in complex64.  ``linear_fft_conv`` holds the one padding policy for linear
 convolution (the smallest 5-smooth length that holds the whole support); the
-convolution modules crop its output.  ``dft_naive`` is the independent O(n^2)
-oracle the fast path is verified against — do not "optimize" it into an FFT.
+convolution modules crop its output.  The direct-form references these
+routes are verified against, ``dft_naive`` among them, live in ``oracles.py``.
 """
 
 from __future__ import annotations
@@ -17,23 +17,6 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import InvalidShapeError
-
-
-def dft_naive(x) -> np.ndarray:
-    """O(n^2) DFT of a rank-1 signal: X_k = sum_n x_n e^{-2 pi i nk/N}.
-
-    Evaluates the definition via the explicit phase matrix in complex128.
-    """
-    a = np.asarray(x)
-    if a.ndim != 1:
-        raise InvalidShapeError(f"dft_naive expects a rank-1 signal, got rank {a.ndim}")
-    if a.size < 1:
-        raise InvalidShapeError("dft_naive needs length >= 1")
-    a = a.astype(np.complex128, copy=False)
-    n = a.size
-    k = np.arange(n)
-    phases = np.exp((-2j * np.pi / n) * np.outer(k, k))
-    return phases @ a
 
 
 def _resolve_axis(ndim: int, axis: int) -> int:

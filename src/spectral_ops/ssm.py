@@ -88,7 +88,8 @@ def ssm_kernel(params: SsmParams, L: int) -> SsmKernel:
     """values[t] = C . (e^A)^t . B for t = 0..L-1.
 
     e^A is computed once; the powers come from repeated multiplication
-    against the running state vector (unit time step).
+    against the running state vector (unit time step).  A non-finite
+    value, such as the `as_written` overflow at long L, raises ConfigError.
     """
     if params.C is None:
         raise ConfigError("SsmParams.C is unset; set a readout vector before materializing")
@@ -100,9 +101,14 @@ def ssm_kernel(params: SsmParams, L: int) -> SsmKernel:
     step = matrix_exp(params.A)
     state = np.asarray(params.B, dtype=np.float64).copy()
     values = np.empty(L)
-    for t in range(L):
-        values[t] = c @ state
-        state = step @ state
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(L):
+            values[t] = c @ state
+            state = step @ state
+    finite = np.isfinite(values)
+    if not finite.all():
+        raise ConfigError(f"SSM kernel is non-finite from t = {finite.argmin()} of L = {L}; "
+                          "use a shorter L or a decaying A (the 'negated' convention)")
     return SsmKernel(values=values)
 
 

@@ -4,7 +4,8 @@ runnable in-process or through the CLI.
 Each check produces a SuiteResult with the measured max error and the
 tolerance it was held to (tol 0.0 means the property must hold exactly).
 Checks call the public ops through their module namespaces, so replacing an
-implementation is guaranteed to be observed here.
+implementation is guaranteed to be observed here.  The direct-form references
+they compare against come from `oracles.py`, shared with the tests and demos.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import fftconv, fit, gconv, spectral, ssm
+from . import fftconv, fit, gconv, oracles, spectral, ssm
 from .tensor import Rng, randn, read_tensor, write_tensor
 
 
@@ -84,7 +85,7 @@ def _suite_spectral() -> list[SuiteResult]:
     err = 0.0
     for n in range(1, 65):
         x = randn(rng, (n,)) + 1j * randn(rng, (n,))
-        err = max(err, _maxabs(spectral.fft_axis(x) - spectral.dft_naive(x)))
+        err = max(err, _maxabs(spectral.fft_axis(x) - oracles.dft_naive(x)))
     results.append(_result("spectral", "fft-equals-naive-dft-1..64", err, 1e-10))
 
     x = randn(rng, (7,)) + 1j * randn(rng, (7,))
@@ -145,23 +146,6 @@ def _conv_grid_error(dtype) -> float:
     return worst
 
 
-def _direct_conv_full(img: np.ndarray, ker: np.ndarray) -> np.ndarray:
-    n, m = img.shape[0], ker.shape[0]
-    out = np.zeros((n + m - 1, n + m - 1))
-    for i in range(m):
-        for j in range(m):
-            out[i : i + n, j : j + n] += ker[i, j] * img
-    return out
-
-
-def _direct_conv_circular(img: np.ndarray, ker: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(img)
-    for i in range(ker.shape[0]):
-        for j in range(ker.shape[1]):
-            out += ker[i, j] * np.roll(img, (i, j), axis=(0, 1))
-    return out
-
-
 def _suite_fftconv() -> list[SuiteResult]:
     results = []
     results.append(_result("fftconv", "oracle-equivalence-f64", _conv_grid_error(np.float64), 1e-10))
@@ -182,8 +166,8 @@ def _suite_fftconv() -> list[SuiteResult]:
     # different inside it, n=16 / m=5
     img = randn(rng, (16, 16))
     ker = randn(rng, (5, 5))
-    full = _direct_conv_full(img, ker)
-    circ = _direct_conv_circular(img, ker)
+    full = oracles.direct_conv_full(img, ker)
+    circ = oracles.direct_conv_circular(img, ker)
     band = 4
     outside = _maxabs(circ[band:, band:] - full[band:16, band:16])
     results.append(_result("fftconv", "wrap-band-outside-exact", outside, 0.0))
@@ -199,7 +183,7 @@ def _suite_fftconv() -> list[SuiteResult]:
     ker3 = randn(rng, (2, 5, 5))
     corr = fftconv.fft_xcorr2d(img3, ker3, mode="full")
     flipped = np.flip(ker3, axis=(1, 2))
-    conv = np.stack([_direct_conv_full(img3[c], flipped[c]) for c in range(2)])
+    conv = np.stack([oracles.direct_conv_full(img3[c], flipped[c]) for c in range(2)])
     results.append(_result("fftconv", "correlation-flip-duality", _maxabs(corr - conv), 1e-10))
 
     bias = np.array([0.25, -1.5])
@@ -219,10 +203,9 @@ def _suite_fit() -> list[SuiteResult]:
     rng = Rng(55)
 
     x = randn(rng, (16, 8))
-    along_d = np.stack([spectral.dft_naive(row) for row in x.astype(complex)])
-    both = np.stack([spectral.dft_naive(col) for col in along_d.T]).T
+    naive = oracles.naive_fourier_mixing(x)
     results.append(
-        _result("fit", "fourier-mixing-vs-naive-dft", _maxabs(fit.fourier_mixing(x) - both.real), 1e-10)
+        _result("fit", "fourier-mixing-vs-naive-dft", _maxabs(fit.fourier_mixing(x) - naive), 1e-10)
     )
 
     seq_first = np.fft.fft(np.fft.fft(x, axis=-2), axis=-1).real
@@ -314,12 +297,12 @@ def _suite_ssm() -> list[SuiteResult]:
     params = ssm.hippo_legs(4, "negated")
     params.C = randn(rng, (4,))
     kernel = ssm.ssm_kernel(params, 32)
-    per_t = np.array([params.C @ ssm.matrix_exp(t * params.A) @ params.B for t in range(32)])
+    per_t = oracles.per_t_ssm_kernel(params, 32)
     results.append(_result("ssm", "kernel-vs-per-t-exponential", _maxabs(kernel.values - per_t), 1e-8))
 
     k = randn(rng, (33,))
     u = randn(rng, (33,))
-    direct = np.array([sum(k[s] * u[t - s] for s in range(t + 1)) for t in range(33)])
+    direct = oracles.direct_causal_conv(k, u)
     results.append(
         _result("ssm", "causal-conv-vs-direct", _maxabs(ssm.causal_fft_conv(k, u) - direct), 1e-10)
     )
@@ -376,18 +359,7 @@ def _suite_gconv() -> list[SuiteResult]:
                         bias=randn(rng, (depth,)),
                     )
                     sig = randn(rng, (L, depth))
-                    kernel = gconv.build_kernel(params, L)
-                    want = np.zeros((L, depth))
-                    k_f = kernel[:L]
-                    for t in range(L):
-                        for s in range(t + 1):
-                            want[t] += k_f[s] * sig[t - s]
-                    if bidirectional:
-                        k_b = kernel[L:]
-                        for t in range(L):
-                            for s in range(L - t):
-                                want[t] += k_b[s] * sig[t + s]
-                    want += params.bias
+                    want = oracles.direct_gconv(sig, gconv.build_kernel(params, L)) + params.bias
                     got = gconv.gconv_forward(sig, params)
                     worst = max(worst, _maxabs(got - want))
     results.append(_result("gconv", "forward-vs-direct-oracle", worst, 1e-10))

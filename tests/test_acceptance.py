@@ -11,15 +11,10 @@ to see the lines as they pass; a plain pytest run shows them only on failure.
 """
 
 import math
-import os
-import subprocess
-import sys
 import time
 
 import numpy as np
-import scipy.linalg
 
-import spectral_ops
 from spectral_ops import (
     FitConfig,
     GConvParams,
@@ -32,7 +27,6 @@ from spectral_ops import (
     causal_fft_conv,
     count_params,
     cross_entropy,
-    dft_naive,
     direct_xcorr2d,
     fft_axis,
     fft_circular_conv2d,
@@ -44,28 +38,20 @@ from spectral_ops import (
     scale_count,
     ssm_kernel,
 )
+from spectral_ops.oracles import (
+    direct_causal_conv,
+    direct_conv_circular,
+    direct_conv_full,
+    direct_gconv,
+    naive_fourier_mixing,
+    per_t_ssm_kernel,
+)
+from test_cli import run_cli
 
 
 def _check(num, label, ok, detail):
     print(f"criterion {num:2d} [{label}]: {'PASS' if ok else 'FAIL'} ({detail})")
     assert ok, f"criterion {num} [{label}] failed: {detail}"
-
-
-def _direct_conv_full(img, ker):
-    n, m = img.shape[0], ker.shape[0]
-    out = np.zeros((n + m - 1, n + m - 1))
-    for i in range(m):
-        for j in range(m):
-            out[i : i + n, j : j + n] += ker[i, j] * img
-    return out
-
-
-def _direct_conv_circular(img, ker):
-    out = np.zeros_like(img)
-    for i in range(ker.shape[0]):
-        for j in range(ker.shape[1]):
-            out += ker[i, j] * np.roll(img, (i, j), axis=(0, 1))
-    return out
 
 
 def test_01_fft_conv_matches_direct_oracle():
@@ -118,8 +104,8 @@ def test_03_circular_wrap_band():
     img = randn(rng, (16, 16))
     ker = randn(rng, (5, 5))
     band = 4  # m - 1
-    full = _direct_conv_full(img, ker)
-    circ = _direct_conv_circular(img, ker)
+    full = direct_conv_full(img, ker)
+    circ = direct_conv_circular(img, ker)
     outside = float(np.max(np.abs(circ[band:, band:] - full[band:16, band:16])))
     inside = float(max(
         np.max(np.abs(circ[:band, :] - full[:band, :16])),
@@ -133,12 +119,10 @@ def test_03_circular_wrap_band():
 
 def test_04_fourier_mixing_matches_naive_dft():
     x = randn(Rng(1004), (16, 8))
-    hidden_first = np.stack([dft_naive(row) for row in x.astype(complex)])
-    hidden_then_seq = np.stack([dft_naive(col) for col in hidden_first.T]).T
-    seq_first = np.stack([dft_naive(col) for col in x.T.astype(complex)]).T
-    seq_then_hidden = np.stack([dft_naive(row) for row in seq_first])
-    err_mix = float(np.max(np.abs(fourier_mixing(x) - hidden_then_seq.real)))
-    err_commute = float(np.max(np.abs(hidden_then_seq.real - seq_then_hidden.real)))
+    hidden_then_seq = naive_fourier_mixing(x)
+    seq_then_hidden = naive_fourier_mixing(x.T).T
+    err_mix = float(np.max(np.abs(fourier_mixing(x) - hidden_then_seq)))
+    err_commute = float(np.max(np.abs(hidden_then_seq - seq_then_hidden)))
     ok = err_mix <= 1e-10 and err_commute <= 1e-10
     _check(4, "fourier mixing vs naive DFT", ok,
            f"vs naive {err_mix:.3e}, axis-order commutation {err_commute:.3e}")
@@ -194,15 +178,11 @@ def test_08_ssm_formulas():
     params = hippo_legs(4)
     params.C = randn(Rng(1008), (4,))
     kernel = ssm_kernel(params, 32)
-    oracle = np.array([
-        params.C @ scipy.linalg.expm(params.A * t) @ params.B for t in range(32)
-    ])
-    kernel_err = float(np.max(np.abs(kernel.values - oracle)))
+    kernel_err = float(np.max(np.abs(kernel.values - per_t_ssm_kernel(params, 32))))
 
     k = randn(Rng(1009), (33,))
     u = randn(Rng(1010), (33,))
-    direct = np.array([sum(k[s] * u[t - s] for s in range(t + 1)) for t in range(33)])
-    causal_err = float(np.max(np.abs(causal_fft_conv(k, u) - direct)))
+    causal_err = float(np.max(np.abs(causal_fft_conv(k, u) - direct_causal_conv(k, u))))
 
     ok = a_exact and b_exact and kernel_err <= 1e-8 and causal_err <= 1e-10
     _check(8, "state-space formulas", ok,
@@ -231,18 +211,8 @@ def test_09_gconv():
 
         for bidirectional in (False, True):
             params.bidirectional = bidirectional
-            built = build_kernel(params, L)
-            k_f = built[:L]
-            k_b = built[L:] if bidirectional else np.zeros_like(k_f)
             u = randn(rng, (L, depth))
-            expected = np.zeros_like(u)
-            for t in range(L):
-                for s in range(L):
-                    if t - s >= 0:
-                        expected[t] += k_f[s] * u[t - s]
-                    if bidirectional and t + s < L:
-                        expected[t] += k_b[s] * u[t + s]
-            expected += params.bias
+            expected = direct_gconv(u, build_kernel(params, L)) + params.bias
             err = float(np.max(np.abs(gconv_forward(u, params) - expected)))
             forward_worst = max(forward_worst, err)
 
@@ -256,16 +226,8 @@ def test_09_gconv():
 
 
 def test_10_end_to_end_determinism(tmp_path):
-    # absolute, so children started with cwd=tmp_path still find the package
-    src_dir = os.path.dirname(os.path.dirname(os.path.abspath(spectral_ops.__file__)))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src_dir, env.get("PYTHONPATH")]))
-
     def run(*args):
-        return subprocess.run(
-            [sys.executable, "-m", "spectral_ops", *args],
-            capture_output=True, text=True, cwd=tmp_path, env=env,
-        )
+        return run_cli(*args, cwd=tmp_path)
 
     verify_proc = run("verify")
     init_proc = run(

@@ -11,6 +11,7 @@ from spectral_ops import (
     fft_xcorr2d,
     randn,
 )
+from spectral_ops.oracles import direct_conv_circular, direct_conv_full
 
 
 def test_delta_kernel_is_identity_same_mode():
@@ -176,23 +177,6 @@ def test_circular_rank_mismatch_rejected():
 
 
 # --- linear vs circular ------------------------------------------------------
-
-
-def direct_conv_full(img, ker):
-    n, m = img.shape[0], ker.shape[0]
-    out = np.zeros((n + m - 1, n + m - 1))
-    for i in range(m):
-        for j in range(m):
-            out[i : i + n, j : j + n] += ker[i, j] * img
-    return out
-
-
-def direct_conv_circular(img, ker):
-    out = np.zeros_like(img)
-    for i in range(ker.shape[0]):
-        for j in range(ker.shape[1]):
-            out += ker[i, j] * np.roll(img, (i, j), axis=(0, 1))
-    return out
 
 
 def test_padded_circular_equals_linear():

@@ -15,7 +15,6 @@ from spectral_ops import (
     bench_mixing,
     count_params,
     cross_entropy,
-    dft_naive,
     feed_forward,
     fit_block,
     fit_forward,
@@ -28,6 +27,7 @@ from spectral_ops import (
     randn,
     save_model,
 )
+from spectral_ops.oracles import naive_fourier_mixing
 
 
 def small_config(**overrides):
@@ -112,9 +112,7 @@ class TestFourierMixing:
 
     def test_matches_naive_dft_composition(self):
         x = randn(Rng(5), (4, 4))
-        along_hidden = np.stack([dft_naive(row) for row in x.astype(complex)])
-        both = np.stack([dft_naive(col) for col in along_hidden.T]).T
-        assert np.max(np.abs(fourier_mixing(x) - both.real)) <= 1e-10
+        assert np.max(np.abs(fourier_mixing(x) - naive_fourier_mixing(x))) <= 1e-10
 
     def test_axis_order_commutes(self):
         x = randn(Rng(6), (16, 8))

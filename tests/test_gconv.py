@@ -12,6 +12,7 @@ from spectral_ops import (
     randn,
     scale_count,
 )
+from spectral_ops.oracles import direct_gconv
 
 
 @pytest.mark.parametrize("L,expected", [(1024, 10), (1000, 10), (1, 0), (2, 1), (33, 6)])
@@ -96,25 +97,6 @@ class TestBuildKernel:
             build_kernel(params, 2)
 
 
-def direct_gconv(sig, params):
-    """O(L^2) per-channel reference convolution with the built kernel."""
-    L, depth = sig.shape
-    kernel = build_kernel(params, L)
-    out = np.zeros((L, depth))
-    k_f = kernel[:L]
-    for t in range(L):
-        for s in range(t + 1):
-            out[t] += k_f[s] * sig[t - s]
-    if params.bidirectional:
-        k_b = kernel[L:]
-        for t in range(L):
-            for s in range(L - t):
-                out[t] += k_b[s] * sig[t + s]
-    if params.bias is not None:
-        out += params.bias
-    return out
-
-
 def test_delta_kernel_passes_signal_through():
     # width == L keeps only the identity-resized first segment, so a delta
     # base yields a built kernel that is exactly [1, 0, ..., 0]
@@ -149,8 +131,21 @@ def test_forward_matches_direct_oracle(L, width, depth, bidirectional):
         bias=randn(rng, (depth,)),
     )
     sig = randn(rng, (L, depth))
-    diff = gconv_forward(sig, params) - direct_gconv(sig, params)
+    want = direct_gconv(sig, build_kernel(params, L)) + params.bias
+    diff = gconv_forward(sig, params) - want
     assert np.max(np.abs(diff)) <= 1e-10
+
+
+@pytest.mark.parametrize("bidirectional", [False, True])
+def test_forward_keeps_f32(bidirectional):
+    rng = Rng(12)
+    # the bias is float64, as a plain np.array of Python floats is
+    params = GConvParams(width=4, depth=2, base_kernel=randn(rng, (4, 2), np.float32),
+                         bidirectional=bidirectional, bias=np.array([0.5, -1.0]))
+    sig = randn(rng, (32, 2), np.float32)
+    out = gconv_forward(sig, params)
+    want = direct_gconv(sig.astype(np.float64), build_kernel(params, 32)) + params.bias
+    assert out.dtype == np.float32 and np.max(np.abs(out - want)) <= 1e-3
 
 
 def test_forward_L1_bidirectional():

@@ -1,3 +1,4 @@
+import ast
 import re
 from pathlib import Path
 
@@ -211,3 +212,16 @@ def test_raw_fft_calls_only_in_the_seam():
         if raw.search(line)
     ]
     assert offenders == []
+
+
+def test_oracles_import_only_errors_from_the_library():
+    # a reference that imports the code it checks would share its faults
+    tree = ast.parse((Path(spectral_ops.__file__).parent / "oracles.py").read_text())
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            base = "spectral_ops." * bool(node.level) + (node.module or "")
+            names |= {base} if node.module else {base + alias.name for alias in node.names}
+    assert {n for n in names if n.startswith("spectral_ops")} == {"spectral_ops.errors"}

@@ -15,6 +15,7 @@ from spectral_ops import (
     randn,
     ssm_kernel,
 )
+from spectral_ops.oracles import direct_causal_conv, per_t_ssm_kernel
 
 
 class TestHippoLegs:
@@ -113,10 +114,7 @@ class TestSsmKernel:
         params = hippo_legs(4, "negated")
         params.C = randn(Rng(2), (4,))
         kernel = ssm_kernel(params, 32)
-        per_t = np.array(
-            [params.C @ matrix_exp(t * params.A) @ params.B for t in range(32)]
-        )
-        assert np.max(np.abs(kernel.values - per_t)) <= 1e-8
+        assert np.max(np.abs(kernel.values - per_t_ssm_kernel(params, 32))) <= 1e-8
 
     def test_unset_c_rejected(self):
         with pytest.raises(ConfigError, match="C"):
@@ -127,6 +125,19 @@ class TestSsmKernel:
         params.C = np.ones(2)
         with pytest.raises(InvalidShapeError):
             ssm_kernel(params, 0)
+
+    @pytest.mark.filterwarnings("error")  # the ConfigError is the only signal
+    def test_overflow_raises_naming_first_non_finite_t(self):
+        params = hippo_legs(4, "as_written")
+        params.C = np.ones(4)
+        with pytest.raises(ConfigError, match=r"t = 177 "):
+            ssm_kernel(params, 2000)
+
+    def test_long_negated_kernel_stays_finite(self):
+        # the state size and length of the long-sequence benchmark workload
+        params = hippo_legs(64)
+        params.C = randn(Rng(9), (64,))
+        assert np.isfinite(ssm_kernel(params, 16384).values).all()
 
     def test_negated_decay_non_increasing(self):
         # \|e^{tA} B\| never grows with t under the negated convention
@@ -154,10 +165,7 @@ class TestCausalFftConv:
     def test_matches_causal_summation_oracle(self):
         rng = Rng(4)
         k, u = randn(rng, (33,)), randn(rng, (33,))
-        direct = np.array(
-            [sum(k[s] * u[t - s] for s in range(t + 1)) for t in range(33)]
-        )
-        assert np.max(np.abs(causal_fft_conv(k, u) - direct)) <= 1e-10
+        assert np.max(np.abs(causal_fft_conv(k, u) - direct_causal_conv(k, u))) <= 1e-10
 
     def test_accepts_ssm_kernel_values(self):
         params = hippo_legs(3, "negated")
