@@ -13,8 +13,8 @@ layer, and verification/benchmark plumbing surfaced through the
 `spectral-ops` CLI.
 """
 
-from .bench import BenchRow, time_median, write_csv
-from .errors import ConfigError, FormatError, InvalidShapeError
+from .bench import BenchRow, bench_seq, time_median, write_csv
+from .errors import ConfigError, FormatError, InvalidShapeError, NonFiniteError
 from .fftconv import (
     MODES,
     bench_conv,
@@ -65,8 +65,8 @@ from .verify import SuiteResult, run_suites
 __version__ = "0.1.0"
 
 __all__ = [
-    "BenchRow", "time_median", "write_csv",
-    "ConfigError", "FormatError", "InvalidShapeError",
+    "BenchRow", "bench_seq", "time_median", "write_csv",
+    "ConfigError", "FormatError", "InvalidShapeError", "NonFiniteError",
     "MODES", "bench_conv", "direct_xcorr2d", "fft_circular_conv2d", "fft_xcorr2d",
     "BlockWeights", "FitConfig", "FitModel", "attention_mixing", "bench_mixing",
     "count_params", "cross_entropy", "feed_forward", "fit_block", "fit_forward",

@@ -13,6 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import gconv, ssm
+from .tensor import Rng, randn
+
 CSV_HEADER = "suite,params,method,median_ms,repeats,checksum"
 
 
@@ -48,3 +51,30 @@ def write_csv(rows, fh) -> None:
             f"{row.suite},{row.params},{row.method},"
             f"{row.median_ms:.6f},{row.repeats},{row.checksum:.9g}\n"
         )
+
+
+def bench_seq(seq_lens, repeats: int = 5, seed: int = 42):
+    """Time ssm_kernel and bidirectional gconv_forward at each length L.
+
+    The layers are sized like one long-sequence model layer: a HiPPO-LegS
+    state of 64 with a seeded readout, and a gconv of width 32 and depth 8
+    on a seeded [L, 8] f64 signal, so every L must be at least 32.
+    """
+    rng = Rng(seed)
+    ssm_params = ssm.hippo_legs(64)
+    ssm_params.C = randn(rng, (64,))
+    gconv_params = gconv.GConvParams(
+        width=32, depth=8, base_kernel=randn(rng, (32, 8)), bidirectional=True,
+        bias=randn(rng, (8,)),
+    )
+    rows = []
+    for L in seq_lens:
+        signal = randn(rng, (L, 8))
+        cases = (
+            ("ssm_kernel", lambda L=L: ssm.ssm_kernel(ssm_params, L).values),
+            ("gconv_forward", lambda s=signal: gconv.gconv_forward(s, gconv_params)),
+        )
+        for method, fn in cases:
+            median_ms, checksum = time_median(fn, repeats)
+            rows.append(BenchRow("seq", f"L={L}", method, median_ms, repeats, checksum))
+    return rows

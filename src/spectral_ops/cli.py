@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import fftconv, fit, verify
-from .bench import write_csv
+from .bench import bench_seq, write_csv
 from .tensor import Rng, randn, read_tensor, write_tensor
 
 
@@ -64,6 +64,11 @@ def cmd_bench_conv(args) -> int:
 
 def cmd_bench_mixing(args) -> int:
     rows = fit.bench_mixing(args.seq_lens, args.dim, repeats=args.repeats, seed=_default_seed())
+    return _emit_rows(rows, args.out)
+
+
+def cmd_bench_seq(args) -> int:
+    rows = bench_seq(args.seq_lens, repeats=args.repeats, seed=_default_seed())
     return _emit_rows(rows, args.out)
 
 
@@ -127,6 +132,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p_mix.add_argument("--repeats", type=int, default=5)
     p_mix.add_argument("--out", type=Path, default=None)
     p_mix.set_defaults(func=cmd_bench_mixing)
+
+    p_seq = bench_sub.add_parser("seq", help="ssm_kernel and bidirectional gconv_forward")
+    p_seq.add_argument("--seq-lens", type=_int_list, default=[1024, 4096, 16384, 65536],
+                       help="lengths, each >= 32 (default: 1024,4096,16384,65536)")
+    p_seq.add_argument("--repeats", type=int, default=5)
+    p_seq.add_argument("--out", type=Path, default=None)
+    p_seq.set_defaults(func=cmd_bench_seq)
 
     p_demo = sub.add_parser("demo", help="forward pass of a saved model on an FTNS input")
     p_demo.add_argument("--model", type=Path, required=True, help="model directory")

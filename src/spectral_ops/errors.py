@@ -11,3 +11,7 @@ class FormatError(ValueError):
 
 class ConfigError(ValueError):
     """A model/kernel configuration is internally inconsistent."""
+
+
+class NonFiniteError(ValueError):
+    """An operand holds NaN or infinity where an operation needs finite values."""

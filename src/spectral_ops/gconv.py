@@ -5,9 +5,10 @@ sequence: segment i (i = 0 .. scale_count(L)-1) is the base kernel scaled by
 2^-i and bilinearly resized to length width * 2^i.  The segments are
 concatenated and the first L positions kept, so nearby taps come from the
 fine segments and far-away taps from coarse, exponentially damped ones.
-When the concatenation covers more than L positions the tail scales are
-simply discarded (take-first-L, as designed); when it covers fewer the
-configuration is rejected with advice to raise `width`.
+Only the segments needed to cover L positions are built; the coarser tail
+scales would all fall past position L (take-first-L, as designed), so they
+are never resized.  When all scale_count(L) segments together cover fewer
+than L positions the configuration is rejected with advice to raise `width`.
 
 Bidirectional contract (made precise here because the usual sketch of it is
 ambiguous): build_kernel returns [2L, depth] — rows 0..L-1 are the forward
@@ -23,7 +24,7 @@ tap k_f[0] + k_b[0]).  Unidirectional gconv is the first sum alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -104,16 +105,18 @@ def build_kernel(params: GConvParams, L: int) -> np.ndarray:
         concat = bilinear_resize_1d(base, 1)
     else:
         s = scale_count(L)
+        if params.width * (2**s - 1) < L:
+            need = -(-L // (2**s - 1))
+            raise ConfigError(
+                f"multi-scale kernel covers only {params.width * (2**s - 1)} of {L} "
+                f"positions; increase width to at least {need}"
+            )
+        # k segments cover width * (2^k - 1) >= L once 2^k > ceil(L / width)
+        kept = (-(-L // params.width)).bit_length()
         segments = [
-            bilinear_resize_1d(base * 2.0**-i, params.width << i) for i in range(s)
+            bilinear_resize_1d(base * 2.0**-i, params.width << i) for i in range(kept)
         ]
         concat = np.concatenate(segments, axis=0)
-    if concat.shape[0] < L:
-        need = -(-L // (2 ** scale_count(L) - 1))
-        raise ConfigError(
-            f"multi-scale kernel covers only {concat.shape[0]} of {L} positions; "
-            f"increase width to at least {need}"
-        )
     forward = concat[:L]
     if not params.bidirectional:
         return forward.copy()
@@ -131,16 +134,19 @@ def gconv_forward(signal, params: GConvParams) -> np.ndarray:
             f"signal depth {sig.shape[1]} != params.depth {params.depth}"
         )
     L = sig.shape[0]
-    kernel = build_kernel(params, L)
-
+    # the backward taps equal the forward ones, so only the forward half is
+    # built; the transforms run along the last, contiguous axis of [depth, .]
+    taps = build_kernel(replace(params, bidirectional=False), L).T
     if not params.bidirectional:
-        out = spectral.linear_fft_conv(kernel, sig, (0,))[:L]
+        h, start = taps, 0
     else:
-        k_f, k_b = kernel[:L], kernel[L:]
-        two_sided = np.zeros((2 * L - 1, params.depth), dtype=kernel.dtype)
-        two_sided[L - 1 :] = k_f
-        two_sided[L - 1 :: -1] += k_b  # h[L-1-s] += k_b[s]
-        out = spectral.linear_fft_conv(two_sided, sig, (0,))[L - 1 : 2 * L - 1]
+        h = np.empty((params.depth, 2 * L - 1), dtype=taps.dtype)
+        h[:, L - 1 :] = taps
+        h[:, : L - 1] = taps[:, :0:-1]  # h[L-1-s] = k_b[s] for s >= 1
+        h[:, L - 1] += taps[:, 0]  # center tap k_f[0] + k_b[0]
+        start = L - 1
+    out = spectral.linear_fft_conv(h, np.ascontiguousarray(sig.T), (1,))
+    out = np.ascontiguousarray(out[:, start : start + L].T)
 
     if params.bias is not None:
         out = out + np.asarray(params.bias, dtype=out.dtype)[None, :]

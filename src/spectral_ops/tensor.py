@@ -24,6 +24,7 @@ The payload length must equal ``itemsize * product(extents)`` exactly.
 from __future__ import annotations
 
 import math
+import os
 import struct
 
 import numpy as np
@@ -147,36 +148,43 @@ def write_tensor(t, path) -> None:
 
 
 def read_tensor(path) -> np.ndarray:
-    """Read an FTNS file back into a numpy array (inverse of write_tensor)."""
+    """Read an FTNS file back into a numpy array (inverse of write_tensor).
+
+    The header is checked against the file size before the payload is read,
+    so a header that claims more data than the file holds allocates nothing.
+    """
     with open(path, "rb") as fh:
-        data = fh.read()
-    if len(data) < 10:
-        raise FormatError(f"truncated file: fixed header needs 10 bytes, got {len(data)}")
-    if data[:4] != _MAGIC:
-        raise FormatError(f"bad magic at offset 0: expected {_MAGIC!r}, got {data[:4]!r}")
-    version, code, rank = struct.unpack_from("<BBI", data, 4)
-    if version != _VERSION:
-        raise FormatError(f"unsupported version {version} at offset 4 (expected {_VERSION})")
-    if code not in _DTYPE_FOR_CODE:
-        raise FormatError(f"unknown dtype code {code} at offset 5")
-    if rank < 1:
-        raise FormatError(f"rank {rank} at offset 6 is invalid (must be >= 1)")
-    end_extents = 10 + 8 * rank
-    if len(data) < end_extents:
-        raise FormatError(
-            f"truncated file: extents end at offset {end_extents}, file has {len(data)} bytes"
-        )
-    extents = struct.unpack_from(f"<{rank}Q", data, 10)
-    if any(e < 1 for e in extents):
-        raise FormatError(f"non-positive extent in {extents} at offset 10")
-    dt = _DTYPE_FOR_CODE[code]
-    count = math.prod(extents)
-    expected = end_extents + count * dt.itemsize
-    if len(data) != expected:
-        raise FormatError(
-            f"payload length mismatch at offset {end_extents}: expected file size "
-            f"{expected}, got {len(data)}"
-        )
-    flat = np.frombuffer(data, dtype=dt, count=count, offset=end_extents)
-    # native byte order, fresh writable buffer
-    return flat.astype(dt.newbyteorder("="), copy=True).reshape(extents)
+        size = os.fstat(fh.fileno()).st_size
+        header = fh.read(10)
+        if len(header) < 10:
+            raise FormatError(f"truncated file: fixed header needs 10 bytes, got {size}")
+        if header[:4] != _MAGIC:
+            raise FormatError(
+                f"bad magic at offset 0: expected {_MAGIC!r}, got {header[:4]!r}"
+            )
+        version, code, rank = struct.unpack_from("<BBI", header, 4)
+        if version != _VERSION:
+            raise FormatError(f"unsupported version {version} at offset 4 (expected {_VERSION})")
+        if code not in _DTYPE_FOR_CODE:
+            raise FormatError(f"unknown dtype code {code} at offset 5")
+        if rank < 1:
+            raise FormatError(f"rank {rank} at offset 6 is invalid (must be >= 1)")
+        end_extents = 10 + 8 * rank
+        if size < end_extents:
+            raise FormatError(
+                f"truncated file: extents end at offset {end_extents}, file has {size} bytes"
+            )
+        extents = struct.unpack(f"<{rank}Q", fh.read(8 * rank))
+        if any(e < 1 for e in extents):
+            raise FormatError(f"non-positive extent in {extents} at offset 10")
+        dt = _DTYPE_FOR_CODE[code]
+        count = math.prod(extents)
+        expected = end_extents + count * dt.itemsize
+        if size != expected:
+            raise FormatError(
+                f"payload length mismatch at offset {end_extents}: expected file size "
+                f"{expected}, got {size}"
+            )
+        flat = np.fromfile(fh, dtype=dt, count=count)
+    # native byte order; fromfile already returned a fresh writable buffer
+    return flat.astype(dt.newbyteorder("="), copy=False).reshape(extents)

@@ -107,6 +107,15 @@ class TestBenchCommands:
         methods = {line.split(",")[2] for line in lines[1:]}
         assert methods == {"fourier", "attention"}
 
+    def test_seq_to_stdout(self, capsys):
+        assert main(["bench", "seq", "--seq-lens", "32,64", "--repeats", "1"]) == 0
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert lines[0] == "suite,params,method,median_ms,repeats,checksum"
+        assert len(lines) == 5  # 2 lengths x {ssm_kernel, gconv_forward}
+        rows = [line.split(",") for line in lines[1:]]
+        assert {(r[0], r[1]) for r in rows} == {("seq", "L=32"), ("seq", "L=64")}
+        assert {r[2] for r in rows} == {"ssm_kernel", "gconv_forward"}
+
     def test_conv_guard_raises_under_optimize(self, monkeypatch, capsys):
         # a RuntimeError, unlike an assert, survives python -O
         real = fftconv.fft_xcorr2d

@@ -4,6 +4,7 @@ import pytest
 from spectral_ops import (
     InvalidShapeError,
     MODES,
+    NonFiniteError,
     Rng,
     bench_conv,
     direct_xcorr2d,
@@ -124,6 +125,28 @@ def test_unknown_mode_rejected():
 def test_bad_bias_shape_rejected():
     with pytest.raises(InvalidShapeError, match="bias"):
         fft_xcorr2d(np.zeros((2, 4, 4)), np.zeros((2, 3, 3)), bias=np.zeros(3))
+
+
+def test_one_nan_pixel_rejected_not_spread():
+    # through the FFT this one pixel would make all 16 `same` outputs NaN,
+    # where the sliding window makes NaN only the 4 positions that touch it
+    image = randn(Rng(20), (1, 4, 4))
+    image[0, 1, 2] = np.nan
+    kernel = randn(Rng(21), (1, 3, 3))
+    for op in (direct_xcorr2d, fft_xcorr2d):
+        for mode in MODES:
+            with pytest.raises(NonFiniteError, match="image"):
+                op(image, kernel, mode=mode)
+
+
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+@pytest.mark.parametrize("operand", ["image", "kernel", "bias"])
+def test_non_finite_operand_rejected(operand, value):
+    args = {"image": np.ones((2, 4, 4)), "kernel": np.ones((2, 3, 3)), "bias": np.zeros(2)}
+    args[operand][(0,) * args[operand].ndim] = value
+    for op in (direct_xcorr2d, fft_xcorr2d):
+        with pytest.raises(NonFiniteError, match=operand):
+            op(args["image"], args["kernel"], bias=args["bias"])
 
 
 # --- circular convolution ----------------------------------------------------

@@ -91,6 +91,36 @@ class TestBuildKernel:
         with pytest.raises(ConfigError, match="width"):
             build_kernel(params, 8)
 
+    @pytest.mark.parametrize("width", [1, 3, 32])
+    @pytest.mark.parametrize("bidirectional", [False, True])
+    def test_equals_first_L_of_every_scale(self, width, bidirectional):
+        # coverage width * (2^k - 1) decides how many segments are built
+        base = randn(Rng(width), (width, 2))
+        params = GConvParams(width=width, depth=2, base_kernel=base,
+                             bidirectional=bidirectional)
+        for k in range(1, 9):
+            for L in {width * (2**k - 1) + d for d in (-1, 0, 1)} - {0}:
+                if L < width or width * (2 ** scale_count(L) - 1) < L:
+                    continue
+                all_scales = np.concatenate([
+                    bilinear_resize_1d(base * 2.0**-i, width << i)
+                    for i in range(max(scale_count(L), 1))
+                ])[:L]
+                want = np.concatenate([all_scales] * (1 + bidirectional))
+                assert np.array_equal(build_kernel(params, L), want), L
+
+    @pytest.mark.parametrize(
+        "width,L,covered,need", [(1, 2, 1, 2), (1, 8, 7, 2), (1, 1024, 1023, 2)]
+    )
+    def test_coverage_error_message(self, width, L, covered, need):
+        params = GConvParams(width=width, depth=1, base_kernel=np.ones((width, 1)))
+        with pytest.raises(ConfigError) as info:
+            build_kernel(params, L)
+        assert str(info.value) == (
+            f"multi-scale kernel covers only {covered} of {L} positions; "
+            f"increase width to at least {need}"
+        )
+
     def test_sequence_shorter_than_width_rejected(self):
         params = GConvParams(width=4, depth=1, base_kernel=np.ones((4, 1)))
         with pytest.raises(InvalidShapeError):

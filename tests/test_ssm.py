@@ -116,6 +116,16 @@ class TestSsmKernel:
         kernel = ssm_kernel(params, 32)
         assert np.max(np.abs(kernel.values - per_t_ssm_kernel(params, 32))) <= 1e-8
 
+    @pytest.mark.parametrize("L", [1, 2, 3, 37, 1000])
+    def test_blocked_powers_match_per_t_oracle(self, L):
+        # block size isqrt(L): L <= 3 gives blocks of one, while 37 and 1000
+        # leave the last block row partly unused (7 x 6 and 33 x 31 slots)
+        params = hippo_legs(8, "negated")
+        params.C = randn(Rng(10), (8,))
+        kernel = ssm_kernel(params, L)
+        assert kernel.L == L
+        assert np.max(np.abs(kernel.values - per_t_ssm_kernel(params, L))) <= 1e-8
+
     def test_unset_c_rejected(self):
         with pytest.raises(ConfigError, match="C"):
             ssm_kernel(hippo_legs(4), 8)

@@ -1,4 +1,5 @@
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -90,6 +91,22 @@ def test_truncated_file(tmp_path):
     path.write_bytes(path.read_bytes()[:-8])
     with pytest.raises(FormatError):
         read_tensor(path)
+
+
+def test_oversized_header_fails_before_reading_payload(tmp_path):
+    # the header claims 2^40 f32 elements; the (sparse) 16 MB file holds far fewer
+    path = tmp_path / "huge.ftns"
+    with open(path, "wb") as fh:
+        fh.write(b"FTNS" + struct.pack("<BBIQ", 1, 0, 1, 2**40))
+        fh.truncate(16 << 20)
+    tracemalloc.start()
+    try:
+        with pytest.raises(FormatError, match="payload length mismatch"):
+            read_tensor(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_unknown_dtype_code(tmp_path):
