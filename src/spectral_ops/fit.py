@@ -184,11 +184,16 @@ def fourier_mixing(x) -> np.ndarray:
     sequence axis, real part kept.  Zero learnable parameters.
 
     The two transforms commute, so the axis order is immaterial (tested).
+    For real x the 2D spectrum is Hermitian, Y[j, d-k] = conj Y[-j mod S, k],
+    so one real half-spectrum (hidden frequencies 0..d//2) gives every column.
     """
     x = np.asarray(x)
     if x.ndim != 2:
         raise InvalidShapeError(f"expected [S, d] input, got rank {x.ndim}")
-    return spectral.fft_axis(spectral.fft_axis(x, -1), -2).real
+    s, d = x.shape
+    half = spectral.rfft2(x).real
+    mirrored = half[-np.arange(s) % s, (d - 1) // 2 : 0 : -1]
+    return np.concatenate([half, mirrored], axis=1)
 
 
 def attention_mixing(x, block: BlockWeights, num_heads: int, return_weights: bool = False):

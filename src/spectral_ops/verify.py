@@ -6,6 +6,8 @@ tolerance it was held to (tol 0.0 means the property must hold exactly).
 Checks call the public ops through their module namespaces, so replacing an
 implementation is guaranteed to be observed here.  The direct-form references
 they compare against come from `oracles.py`, shared with the tests and demos.
+The few raw `np.fft` calls here are on purpose: the library transforms with
+`scipy.fft`, so numpy's FFT is an independent backend to check it against.
 """
 
 from __future__ import annotations

@@ -114,6 +114,27 @@ class TestFourierMixing:
         x = randn(Rng(5), (4, 4))
         assert np.max(np.abs(fourier_mixing(x) - naive_fourier_mixing(x))) <= 1e-10
 
+    # odd and even S and d: the Hermitian fill mirrors rows -j mod S and
+    # hidden columns 1..(d-1)//2, so both parities of both axes matter
+    @pytest.mark.parametrize("dtype,tol", [(np.float64, 1e-10), (np.float32, 1e-3)])
+    @pytest.mark.parametrize("s,d", [(1, 1), (1, 2), (2, 1), (2, 2), (3, 5), (4, 6),
+                                     (5, 8), (8, 7), (197, 12)])
+    def test_half_spectrum_matches_naive(self, s, d, dtype, tol):
+        x = randn(Rng(s * 1000 + d), (s, d), dtype)
+        got = fourier_mixing(x)
+        assert got.dtype == dtype and got.shape == (s, d)
+        assert np.max(np.abs(got - naive_fourier_mixing(x))) <= tol
+
+    # at ViT-Base size the naive DFT takes seconds and its own phase rounding
+    # reaches 5e-10, so numpy's independent complex FFT is the reference
+    @pytest.mark.parametrize("dtype,tol", [(np.float64, 1e-10), (np.float32, 1e-3)])
+    def test_half_spectrum_vit_base_size(self, dtype, tol):
+        x = randn(Rng(197), (197, 768), dtype)
+        got = fourier_mixing(x)
+        assert got.dtype == dtype and got.shape == (197, 768)
+        want = np.fft.fft2(x.astype(np.float64)).real
+        assert np.max(np.abs(got - want)) <= tol
+
     def test_axis_order_commutes(self):
         x = randn(Rng(6), (16, 8))
         seq_first = np.fft.fft(np.fft.fft(x, axis=-2), axis=-1).real
@@ -128,6 +149,10 @@ class TestFourierMixing:
     def test_rejects_bad_rank(self):
         with pytest.raises(InvalidShapeError):
             fourier_mixing(np.zeros(4))
+
+    def test_rejects_complex_input(self):
+        with pytest.raises(InvalidShapeError):
+            fourier_mixing(np.zeros((2, 2), dtype=complex))
 
 
 class TestLayerNorm:

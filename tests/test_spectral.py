@@ -4,6 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.fft
 
 import spectral_ops
 from spectral_ops import (
@@ -125,6 +126,17 @@ class TestRealTransforms:
             rfft2(np.zeros((4, 4), dtype=complex))
 
 
+@pytest.mark.parametrize("real,cplx", [(np.float32, np.complex64), (np.float64, np.complex128)])
+def test_seam_keeps_precision(real, cplx):
+    x = randn(Rng(17), (4, 6), real)
+    assert fft_axis(x).dtype == cplx
+    assert fft_axis(x, inverse=True).dtype == cplx
+    spec = rfft2(x)
+    assert spec.dtype == cplx
+    assert irfft2(spec, (4, 6)).dtype == real
+    assert linear_fft_conv(x, x[:2], (0, 1)).dtype == real
+
+
 class TestLinearFftConv:
     @pytest.mark.parametrize("dtype,tol", [(np.float64, 1e-10), (np.float32, 1e-3)])
     def test_matches_np_convolve(self, dtype, tol):
@@ -149,6 +161,12 @@ class TestLinearFftConv:
             for d in range(5):
                 want = np.convolve(a[c, :, d], b[0, :, d])
                 assert np.max(np.abs(got[c, :, d] - want)) <= 1e-12
+
+    def test_empty_operands_give_empty_results(self):
+        assert linear_fft_conv(np.zeros(0), np.zeros(0), (0,)).shape == (0,)
+        assert np.array_equal(linear_fft_conv(np.zeros(0), np.ones(3), (0,)), np.zeros(2))
+        assert causal_fft_conv(np.zeros(0), np.zeros(0)).shape == (0,)
+        assert fft_xcorr2d(np.zeros((1, 0, 0)), np.ones((1, 1, 1)), mode="full").shape == (1, 0, 0)
 
     def test_rejects_rank_mismatch_and_complex(self):
         with pytest.raises(InvalidShapeError):
@@ -190,11 +208,11 @@ def _bidirectional_gconv_16384():
 def test_padded_transform_lengths_are_five_smooth(monkeypatch, run, support):
     lengths = []
     for name in ("rfftn", "irfftn"):
-        def recording(a, s=None, axes=None, *args, real=getattr(np.fft, name), **kwargs):
+        def recording(a, s=None, axes=None, *args, real=getattr(scipy.fft, name), **kwargs):
             lengths.extend(s)
             return real(a, s, axes, *args, **kwargs)
 
-        monkeypatch.setattr(np.fft, name, recording)
+        monkeypatch.setattr(scipy.fft, name, recording)
     run()
     assert lengths
     assert all(_five_smooth(n) and n >= support for n in lengths), lengths
