@@ -13,7 +13,7 @@ layer, and verification/benchmark plumbing surfaced through the
 `spectral-ops` CLI.
 """
 
-from .bench import BenchRow, bench_seq, time_median, write_csv
+from .bench import BenchRow, bench_seq, time_cases, write_csv
 from .errors import ConfigError, FormatError, InvalidShapeError, NonFiniteError
 from .fftconv import (
     MODES,
@@ -65,7 +65,7 @@ from .verify import SuiteResult, run_suites
 __version__ = "0.1.0"
 
 __all__ = [
-    "BenchRow", "bench_seq", "time_median", "write_csv",
+    "BenchRow", "bench_seq", "time_cases", "write_csv",
     "ConfigError", "FormatError", "InvalidShapeError", "NonFiniteError",
     "MODES", "bench_conv", "direct_xcorr2d", "fft_circular_conv2d", "fft_xcorr2d",
     "BlockWeights", "FitConfig", "FitModel", "attention_mixing", "bench_mixing",

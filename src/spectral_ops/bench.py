@@ -1,9 +1,10 @@
 """Microbenchmark plumbing: timed medians and CSV rows.
 
-Timing protocol: one warm-up call (excluded), then `repeats` timed calls on
-the monotonic clock; the median is reported.  Each row carries a checksum
+Timing protocol: one warm-up call per case (excluded), then `repeats` rounds
+of one timed call per case on the monotonic clock; the median is reported.
+Cases are timed round-robin, never in parallel, so they don't contend and a
+drift of host speed reaches every case alike.  Each row carries a checksum
 (first element of the last output) so timed work cannot be optimized away.
-Timing loops run sequentially — never in parallel — so cases don't contend.
 """
 
 from __future__ import annotations
@@ -29,18 +30,24 @@ class BenchRow:
     checksum: float
 
 
-def time_median(fn, repeats: int) -> tuple[float, float]:
-    """Median wall-time of `fn()` in ms over `repeats` runs after 1 warm-up."""
+def time_cases(cases, repeats: int) -> list[BenchRow]:
+    """One BenchRow per (suite, params, method, fn) case, timed round-robin:
+    after a warm-up of each, `repeats` rounds of one call of every case, so
+    the cases a ratio compares see the same host state."""
     if repeats < 1:
         raise ValueError(f"repeats must be >= 1, got {repeats}")
-    out = fn()  # warm-up, excluded from the median
-    samples = []
+    outs = [fn() for *_, fn in cases]  # warm-ups, excluded from the medians
+    samples = [[] for _ in cases]
     for _ in range(repeats):
-        start = time.perf_counter()
-        out = fn()
-        samples.append((time.perf_counter() - start) * 1e3)
-    checksum = float(np.asarray(out).flat[0])
-    return float(np.median(samples)), checksum
+        for i, (*_, fn) in enumerate(cases):
+            start = time.perf_counter()
+            outs[i] = fn()
+            samples[i].append((time.perf_counter() - start) * 1e3)
+    return [
+        BenchRow(suite, params, method, float(np.median(times)), repeats,
+                 float(np.asarray(out).flat[0]))
+        for (suite, params, method, _), times, out in zip(cases, samples, outs)
+    ]
 
 
 def write_csv(rows, fh) -> None:
@@ -67,14 +74,12 @@ def bench_seq(seq_lens, repeats: int = 5, seed: int = 42):
         width=32, depth=8, base_kernel=randn(rng, (32, 8)), bidirectional=True,
         bias=randn(rng, (8,)),
     )
-    rows = []
+    cases = []
     for L in seq_lens:
         signal = randn(rng, (L, 8))
-        cases = (
-            ("ssm_kernel", lambda L=L: ssm.ssm_kernel(ssm_params, L).values),
-            ("gconv_forward", lambda s=signal: gconv.gconv_forward(s, gconv_params)),
-        )
-        for method, fn in cases:
-            median_ms, checksum = time_median(fn, repeats)
-            rows.append(BenchRow("seq", f"L={L}", method, median_ms, repeats, checksum))
-    return rows
+        cases += [
+            ("seq", f"L={L}", "ssm_kernel", lambda L=L: ssm.ssm_kernel(ssm_params, L).values),
+            ("seq", f"L={L}", "gconv_forward",
+             lambda s=signal: gconv.gconv_forward(s, gconv_params)),
+        ]
+    return time_cases(cases, repeats)

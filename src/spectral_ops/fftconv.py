@@ -20,8 +20,8 @@ frequency-domain pipeline); `same` is the centered convention CNNs use.  The
 two disagree about what "the" output is, so both are exposed as modes.
 
 The FFT route computes correlation as convolution with the index-reversed
-kernel: spectral.linear_fft_conv gives the full (H+Kh-1, W+Kw-1) support,
-which is `full` itself, and `same`/`valid` are crops of it starting at
+kernel: spectral.linear_fft_conv computes the window each mode keeps of the
+(H+Kh-1, W+Kw-1) support: `full` is all of it, and `same`/`valid` start at
 (Kh//2, Kw//2) and (Kh-1, Kw-1).  Circular mode reverses the folded kernel
 modulo the image extents and convolves at exactly those extents.
 direct_xcorr2d is the O(n^2 m^2) oracle it is verified against.
@@ -145,13 +145,13 @@ def fft_xcorr2d(image, kernel, bias=None, mode: str = "same") -> np.ndarray:
         flipped = np.roll(_fold_mod(ker, h, w)[:, ::-1, ::-1], 1, axis=(1, 2))
         return _add_bias(fft_circular_conv2d(img, flipped), bias)
 
-    full = spectral.linear_fft_conv(img, ker[:, ::-1, ::-1], (1, 2))
     if mode == "full":
-        out = full
+        crop = None
     elif mode == "same":
-        out = full[:, kh // 2 : kh // 2 + h, kw // 2 : kw // 2 + w]
+        crop = ((kh // 2, kh // 2 + h), (kw // 2, kw // 2 + w))
     else:  # valid
-        out = full[:, kh - 1 : h, kw - 1 : w]
+        crop = ((kh - 1, h), (kw - 1, w))
+    out = spectral.linear_fft_conv(img, ker[:, ::-1, ::-1], (1, 2), crop)
     return _add_bias(np.ascontiguousarray(out), bias)
 
 
@@ -188,7 +188,7 @@ def bench_conv(image_sizes, kernel_sizes, repeats: int = 5, dtype=np.float32, se
     Returns one BenchRow per (n, m, method).  Runs a small-case equality
     guard before any timing so a broken path can never produce timings.
     """
-    from .bench import BenchRow, time_median
+    from .bench import time_cases
 
     guard_img = randn(Rng(seed), (1, 8, 8), np.float64)
     guard_ker = randn(Rng(seed + 1), (1, 3, 3), np.float64)
@@ -202,16 +202,12 @@ def bench_conv(image_sizes, kernel_sizes, repeats: int = 5, dtype=np.float32, se
         raise RuntimeError(f"conv guard failed: max |fft - direct| = {guard_diff}")
 
     rng = Rng(seed)
-    rows = []
+    cases = []
     for n in image_sizes:
         for m in kernel_sizes:
             img = randn(rng, (1, n, n), dtype)
             ker = randn(rng, (1, m, m), dtype)
             for method, fn in (("direct", direct_xcorr2d), ("fft", fft_xcorr2d)):
-                median_ms, checksum = time_median(
-                    lambda fn=fn: fn(img, ker, mode="same"), repeats
-                )
-                rows.append(
-                    BenchRow("conv", f"n={n} m={m}", method, median_ms, repeats, checksum)
-                )
-    return rows
+                cases.append(("conv", f"n={n} m={m}", method,
+                              lambda fn=fn, img=img, ker=ker: fn(img, ker, mode="same")))
+    return time_cases(cases, repeats)

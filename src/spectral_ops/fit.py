@@ -133,7 +133,8 @@ class FitModel:
 def gelu(x) -> np.ndarray:
     """Exact-erf GELU: x * Phi(x) (no tanh approximation)."""
     x = np.asarray(x)
-    return 0.5 * x * (1.0 + erf(x / np.sqrt(2.0)))
+    # sqrt(2) in x's float dtype: an f64 scalar would turn f32 input into f64
+    return 0.5 * x * (1.0 + erf(x / np.sqrt(2.0, dtype=np.result_type(x, 1.0))))
 
 
 def softmax(z, axis: int = -1) -> np.ndarray:
@@ -176,7 +177,7 @@ def patch_embed(image, model: FitModel) -> np.ndarray:
     tokens = patches @ model.patch_proj_weight.T + model.patch_proj_bias
     seq = np.concatenate([model.cls_token, tokens], axis=0) + model.pos_embed
     d = cfg.embed_dim
-    return layer_norm(seq, np.ones(d), np.zeros(d))
+    return layer_norm(seq, np.ones(d, seq.dtype), np.zeros(d, seq.dtype))
 
 
 def fourier_mixing(x) -> np.ndarray:
@@ -210,7 +211,8 @@ def attention_mixing(x, block: BlockWeights, num_heads: int, return_weights: boo
     q = heads(x @ block.w_q.T + block.b_q)
     k = heads(x @ block.w_k.T + block.b_k)
     v = heads(x @ block.w_v.T + block.b_v)
-    weights = softmax(q @ k.transpose(0, 2, 1) / np.sqrt(dk), axis=-1)
+    scale = np.sqrt(dk, dtype=np.result_type(q, 1.0))  # in q's dtype, so f32 stays f32
+    weights = softmax(q @ k.transpose(0, 2, 1) / scale, axis=-1)
     ctx = (weights @ v).transpose(1, 0, 2).reshape(s, d)
     out = ctx @ block.w_o.T + block.b_o
     return (out, weights) if return_weights else out
@@ -459,11 +461,11 @@ def load_model(directory) -> FitModel:
 
 def bench_mixing(seq_lens, d: int, repeats: int = 5, seed: int = 42):
     """Time fourier_mixing vs attention_mixing on [S, d] f32 inputs."""
-    from .bench import BenchRow, time_median
+    from .bench import time_cases
 
     num_heads = 4 if d % 4 == 0 else 1
     rng = Rng(seed)
-    rows = []
+    cases = []
     for s in seq_lens:
         x = randn(rng, (s, d), np.float32)
         block = BlockWeights()
@@ -472,13 +474,9 @@ def bench_mixing(seq_lens, d: int, repeats: int = 5, seed: int = 42):
                 setattr(block, name, randn(rng, (d, d), np.float32) / np.sqrt(d))
             else:
                 setattr(block, name, np.zeros(d, dtype=np.float32))
-        cases = (
-            ("fourier", lambda x=x: fourier_mixing(x)),
-            ("attention", lambda x=x, b=block: attention_mixing(x, b, num_heads)),
-        )
-        for method, fn in cases:
-            median_ms, checksum = time_median(fn, repeats)
-            rows.append(
-                BenchRow("mixing", f"S={s} d={d}", method, median_ms, repeats, checksum)
-            )
-    return rows
+        cases += [
+            ("mixing", f"S={s} d={d}", "fourier", lambda x=x: fourier_mixing(x)),
+            ("mixing", f"S={s} d={d}", "attention",
+             lambda x=x, b=block: attention_mixing(x, b, num_heads)),
+        ]
+    return time_cases(cases, repeats)

@@ -125,7 +125,7 @@ def build_kernel(params: GConvParams, L: int) -> np.ndarray:
 
 def gconv_forward(signal, params: GConvParams) -> np.ndarray:
     """FFT convolution of a [L, depth] signal with the built kernel, plus bias:
-    an L-sample crop of spectral.linear_fft_conv along the sequence axis."""
+    an L-sample window of spectral.linear_fft_conv along the sequence axis."""
     sig = np.asarray(signal)
     if sig.ndim != 2:
         raise InvalidShapeError(f"signal must be [L, depth], got rank {sig.ndim}")
@@ -145,8 +145,8 @@ def gconv_forward(signal, params: GConvParams) -> np.ndarray:
         h[:, : L - 1] = taps[:, :0:-1]  # h[L-1-s] = k_b[s] for s >= 1
         h[:, L - 1] += taps[:, 0]  # center tap k_f[0] + k_b[0]
         start = L - 1
-    out = spectral.linear_fft_conv(h, np.ascontiguousarray(sig.T), (1,))
-    out = np.ascontiguousarray(out[:, start : start + L].T)
+    out = spectral.linear_fft_conv(h, np.ascontiguousarray(sig.T), (1,), [(start, start + L)])
+    out = np.ascontiguousarray(out.T)
 
     if params.bias is not None:
         out = out + np.asarray(params.bias, dtype=out.dtype)[None, :]

@@ -127,17 +127,16 @@ def ssm_kernel(params: SsmParams, L: int) -> SsmKernel:
 
 
 def causal_fft_conv(kernel, u) -> np.ndarray:
-    """y[t] = sum_{s<=t} K[s] * u[t-s]: the first L samples of the full
-    linear convolution, which no future sample can wrap into.
+    """y[..., t] = sum_{s<=t} K[s] * u[..., t-s]: the first L samples of the
+    full linear convolution, which no future sample can wrap into.
 
-    `kernel` may be an SsmKernel or a plain rank-1 array.
+    `kernel` may be an SsmKernel or a plain rank-1 array; `u` is [..., L], so
+    one call transforms the kernel once for every leading row.
     """
     k = kernel.values if isinstance(kernel, SsmKernel) else np.asarray(kernel)
     u = np.asarray(u)
-    if k.ndim != 1 or u.ndim != 1:
-        raise InvalidShapeError("causal_fft_conv expects rank-1 kernel and input")
-    if k.shape[0] != u.shape[0]:
-        raise InvalidShapeError(
-            f"kernel length {k.shape[0]} != input length {u.shape[0]}"
-        )
-    return spectral.linear_fft_conv(k, u, (0,))[: k.shape[0]]
+    if k.ndim != 1 or u.ndim < 1:
+        raise InvalidShapeError("causal_fft_conv expects a rank-1 kernel and [..., L] input")
+    if k.shape[0] != u.shape[-1]:
+        raise InvalidShapeError(f"kernel length {k.shape[0]} != input length {u.shape[-1]}")
+    return spectral.linear_fft_conv(k[(None,) * (u.ndim - 1)], u, (-1,), [(0, k.shape[0])])

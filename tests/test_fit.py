@@ -328,6 +328,26 @@ class TestFitForward:
         assert invariant == expect_invariant
 
 
+def _as_f32(weights):
+    for name, value in vars(weights).items():
+        if isinstance(value, np.ndarray):
+            setattr(weights, name, value.astype(np.float32))
+    return weights
+
+
+@pytest.mark.parametrize("mixer", ["fourier", "attention"])
+def test_f32_model_and_image_give_f32_logits(mixer):
+    cfg = small_config(mixer=mixer)
+    model = init_fit_model(cfg, Rng(50))
+    image = randn(Rng(51), (3, 8, 8))
+    want = fit_forward(image, model)
+    model32 = _as_f32(init_fit_model(cfg, Rng(50)))
+    model32.blocks = [_as_f32(block) for block in model32.blocks]
+    got = fit_forward(image.astype(np.float32), model32)
+    assert want.dtype == np.float64 and got.dtype == np.float32
+    assert np.max(np.abs(got - want)) <= 1e-3
+
+
 class TestCrossEntropy:
     def test_uniform_logits_give_log_m(self):
         assert abs(cross_entropy(np.zeros(10), 7) - math.log(10)) <= 1e-12

@@ -20,6 +20,7 @@ from spectral_ops import (
     linear_fft_conv,
     randn,
     rfft2,
+    spectral,
 )
 
 
@@ -168,6 +169,42 @@ class TestLinearFftConv:
         assert causal_fft_conv(np.zeros(0), np.zeros(0)).shape == (0,)
         assert fft_xcorr2d(np.zeros((1, 0, 0)), np.ones((1, 1, 1)), mode="full").shape == (1, 0, 0)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("m", [1, 2, 3, 31])
+    def test_pruned_spectrum_equals_rfftn(self, dtype, m):
+        ker = randn(Rng(40 + m), (2, m, m), dtype)
+        for x in (ker, ker[:, ::-1, ::-1]):
+            for axes, lengths in (((2,), [m + 5]), ((1, 2), [m + 7, 2 * m + 30])):
+                want = scipy.fft.rfftn(x, lengths, axes)
+                assert np.array_equal(spectral._pruned_rfftn(x, lengths, axes), want)
+
+    @pytest.mark.parametrize("dtype,tol", [(np.float64, 1e-10), (np.float32, 1e-3)])
+    def test_crop_equals_cropped_full_support(self, dtype, tol):
+        rng = Rng(41)
+        for n, m in ((1, 1), (2, 5), (7, 3), (12, 6)):
+            a, b = randn(rng, (2, n), dtype), randn(rng, (1, m), dtype)
+            full = linear_fft_conv(a, b, (1,))
+            support = n + m - 1
+            for start in range(support + 1):
+                for stop in range(start, support + 1):
+                    got = linear_fft_conv(a, b, (1,), [(start, stop)])
+                    assert got.dtype == dtype and got.shape == (2, stop - start)
+                    assert np.max(np.abs(got - full[:, start:stop]), initial=0.0) <= tol
+        img, ker = randn(rng, (1, 9, 11), dtype), randn(rng, (1, 4, 3), dtype)
+        full = linear_fft_conv(img, ker, (1, 2))
+        for crop in (((0, 12), (0, 13)), ((2, 11), (1, 12)), ((3, 9), (2, 11)), ((5, 5), (0, 13))):
+            got = linear_fft_conv(img, ker, (1, 2), crop)
+            want = full[:, slice(*crop[0]), slice(*crop[1])]
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want), initial=0.0) <= tol
+
+    @pytest.mark.parametrize("crop", [
+        [(-1, 3)], [(0, 9)], [(4, 3)], [(0, 3), (0, 3)], [],
+    ])
+    def test_rejects_windows_outside_the_support(self, crop):
+        with pytest.raises(InvalidShapeError):
+            linear_fft_conv(np.ones(5), np.ones(4), (0,), crop)
+
     def test_rejects_rank_mismatch_and_complex(self):
         with pytest.raises(InvalidShapeError):
             linear_fft_conv(np.zeros((2, 3)), np.zeros(3), (0,))
@@ -201,21 +238,53 @@ def _bidirectional_gconv_16384():
     gconv_forward(randn(rng, (16384, 2)), params)
 
 
-# linear supports 254 = 2*127, 32767 = 7*31*151 and 49150 = 2*5^2*983
+def _record_seam_lengths(monkeypatch):
+    """Patch linear_fft_conv and every scipy.fft call it makes; each convolution
+    records (alias-free bound per axis, full supports, [(axis, length), ...])."""
+    calls = []
+    real_conv = spectral.linear_fft_conv
+
+    def conv(a, b, axes, crop=None):
+        axes = [ax % np.ndim(a) for ax in axes]
+        supports = [np.shape(a)[ax] + np.shape(b)[ax] - 1 for ax in axes]
+        windows = crop if crop is not None else [(0, s) for s in supports]
+        need = {ax: max(stop, s - start) for ax, (start, stop), s in zip(axes, windows, supports)}
+        calls.append((need, supports, []))
+        return real_conv(a, b, axes) if crop is None else real_conv(a, b, axes, crop)
+
+    monkeypatch.setattr(spectral, "linear_fft_conv", conv)
+    for name in ("fft", "ifft", "rfft", "irfft", "rfftn", "irfftn"):
+        def recording(x, n, axes, *args, real=getattr(scipy.fft, name), **kwargs):
+            resolved = np.atleast_1d(axes) % np.ndim(x)
+            lengths = np.shape(x)[resolved[0]] if n is None else n  # ifft keeps its length
+            calls[-1][2].extend(zip(resolved.tolist(), np.atleast_1d(lengths).tolist()))
+            return real(x, n, axes, *args, **kwargs)
+
+        monkeypatch.setattr(scipy.fft, name, recording)
+    return calls
+
+
+# linear supports 254 = 2*127, 32767 = 7*31*151 and 49150 = 2*5^2*983; the
+# kept windows need 254/239/224 (full/same/valid), 32767 and 32767
 @pytest.mark.parametrize("run,support", [
     (_xcorr_224_31, 254), (_causal_16384, 32767), (_bidirectional_gconv_16384, 49150),
 ])
 def test_padded_transform_lengths_are_five_smooth(monkeypatch, run, support):
-    lengths = []
-    for name in ("rfftn", "irfftn"):
-        def recording(a, s=None, axes=None, *args, real=getattr(scipy.fft, name), **kwargs):
-            lengths.extend(s)
-            return real(a, s, axes, *args, **kwargs)
-
-        monkeypatch.setattr(scipy.fft, name, recording)
+    calls = _record_seam_lengths(monkeypatch)
     run()
-    assert lengths
-    assert all(_five_smooth(n) and n >= support for n in lengths), lengths
+    assert calls
+    for need, supports, lengths in calls:
+        assert set(supports) == {support}
+        assert lengths
+        assert all(_five_smooth(n) and n >= need[ax] for ax, n in lengths), (need, lengths)
+
+
+def test_bidirectional_gconv_transforms_at_the_kept_window(monkeypatch):
+    # the two-sided convolution keeps 16384 of 49150 samples, so 32768 points
+    # are alias-free where the whole support needed 49152
+    calls = _record_seam_lengths(monkeypatch)
+    _bidirectional_gconv_16384()
+    assert {n for _, _, lengths in calls for _, n in lengths} == {32768}
 
 
 def test_raw_fft_calls_only_in_the_seam():

@@ -188,6 +188,18 @@ class TestCausalFftConv:
     def test_length_mismatch_rejected(self):
         with pytest.raises(InvalidShapeError):
             causal_fft_conv(np.ones(4), np.ones(5))
+        with pytest.raises(InvalidShapeError):
+            causal_fft_conv(np.ones((2, 4)), np.ones((2, 4)))
+
+    def test_batched_rows_equal_per_channel_calls(self):
+        # one call over [8, L] transforms the kernel once for all channels
+        rng = Rng(9)
+        k, u = randn(rng, (16384,)), randn(rng, (8, 16384))
+        y = causal_fft_conv(k, u)
+        assert y.shape == u.shape
+        for c in range(8):
+            assert np.array_equal(y[c], causal_fft_conv(k, u[c]))
+        assert causal_fft_conv(k[:5], randn(rng, (2, 3, 5))).shape == (2, 3, 5)
 
     def test_linear_in_input_and_kernel(self):
         rng = Rng(7)
