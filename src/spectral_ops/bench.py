@@ -10,7 +10,7 @@ drift of host speed reaches every case alike.  Each row carries a checksum
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -65,7 +65,9 @@ def bench_seq(seq_lens, repeats: int = 5, seed: int = 42):
 
     The layers are sized like one long-sequence model layer: a HiPPO-LegS
     state of 64 with a seeded readout, and a gconv of width 32 and depth 8
-    on a seeded [L, 8] f64 signal, so every L must be at least 32.
+    on a seeded [L, 8] f64 signal, so every L must be at least 32.  Each
+    timed call gets its own dataclasses.replace copy of the parameters, whose
+    kernel cache starts empty, so every row times a first call.
     """
     rng = Rng(seed)
     ssm_params = ssm.hippo_legs(64)
@@ -78,8 +80,8 @@ def bench_seq(seq_lens, repeats: int = 5, seed: int = 42):
     for L in seq_lens:
         signal = randn(rng, (L, 8))
         cases += [
-            ("seq", f"L={L}", "ssm_kernel", lambda L=L: ssm.ssm_kernel(ssm_params, L).values),
+            ("seq", f"L={L}", "ssm_kernel", lambda L=L: ssm.ssm_kernel(replace(ssm_params), L).values),
             ("seq", f"L={L}", "gconv_forward",
-             lambda s=signal: gconv.gconv_forward(s, gconv_params)),
+             lambda s=signal: gconv.gconv_forward(s, replace(gconv_params))),
         ]
     return time_cases(cases, repeats)

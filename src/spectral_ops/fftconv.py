@@ -32,7 +32,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import spectral
-from .errors import InvalidShapeError, NonFiniteError
+from .errors import InvalidShapeError, require_finite
 from .tensor import Rng, randn
 
 MODES = ("full", "same", "valid", "circular")
@@ -64,10 +64,7 @@ def _check_operands(image, kernel, bias, mode):
             raise InvalidShapeError(
                 f"bias must have shape [{img.shape[0]}], got {b.shape}"
             )
-    for name, a in (("image", img), ("kernel", ker), ("bias", bias)):
-        # the FFT route would spread one NaN or inf over every output
-        if a is not None and not np.isfinite(a).all():
-            raise NonFiniteError(f"{name} holds a NaN or infinite value")
+    require_finite(image=img, kernel=ker, bias=bias)
     return img, ker
 
 

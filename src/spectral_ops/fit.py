@@ -471,7 +471,7 @@ def bench_mixing(seq_lens, d: int, repeats: int = 5, seed: int = 42):
         block = BlockWeights()
         for name in _ATTN_FIELDS:
             if name.startswith("w"):
-                setattr(block, name, randn(rng, (d, d), np.float32) / np.sqrt(d))
+                setattr(block, name, randn(rng, (d, d), np.float32) / np.float32(np.sqrt(d)))
             else:
                 setattr(block, name, np.zeros(d, dtype=np.float32))
         cases += [

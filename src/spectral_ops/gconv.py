@@ -24,12 +24,13 @@ tap k_f[0] + k_b[0]).  Unidirectional gconv is the first sum alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import spectral
-from .errors import ConfigError, InvalidShapeError
+from ._slot import Slot
+from .errors import ConfigError, InvalidShapeError, require_finite
 
 
 @dataclass
@@ -41,6 +42,7 @@ class GConvParams:
     base_kernel: np.ndarray
     bidirectional: bool = False
     bias: np.ndarray | None = None
+    _conv: Slot = field(default_factory=Slot, init=False, repr=False, compare=False)
 
 
 def scale_count(L: int) -> int:
@@ -125,7 +127,14 @@ def build_kernel(params: GConvParams, L: int) -> np.ndarray:
 
 def gconv_forward(signal, params: GConvParams) -> np.ndarray:
     """FFT convolution of a [L, depth] signal with the built kernel, plus bias:
-    an L-sample window of spectral.linear_fft_conv along the sequence axis."""
+    an L-sample window of spectral.linear_fft_conv along the sequence axis.
+
+    The kernel's prepared spectrum for the last L is kept on `params`, keyed
+    by the values of base_kernel, L, width, depth and bidirectional (see
+    _slot.Slot), so repeat calls transform only the signal; concurrent callers
+    may both build it, which is harmless.  A NaN or infinity in the signal,
+    bias or base_kernel raises NonFiniteError.
+    """
     sig = np.asarray(signal)
     if sig.ndim != 2:
         raise InvalidShapeError(f"signal must be [L, depth], got rank {sig.ndim}")
@@ -133,7 +142,21 @@ def gconv_forward(signal, params: GConvParams) -> np.ndarray:
         raise InvalidShapeError(
             f"signal depth {sig.shape[1]} != params.depth {params.depth}"
         )
+    _check_params(params)
+    require_finite(signal=sig, bias=params.bias)
     L = sig.shape[0]
+    conv = params._conv.get((params.base_kernel,),
+                            (L, params.width, params.depth, params.bidirectional),
+                            lambda: _prepare_two_sided(params, L))
+    out = np.ascontiguousarray(conv.apply(np.ascontiguousarray(sig.T)).T)
+    if params.bias is not None:
+        out = out + np.asarray(params.bias, dtype=out.dtype)[None, :]
+    return out
+
+
+def _prepare_two_sided(params: GConvParams, L: int) -> spectral.PreparedConv:
+    """The built kernel, two-sided when bidirectional, transformed for a [depth, L] signal."""
+    require_finite(base_kernel=params.base_kernel)
     # the backward taps equal the forward ones, so only the forward half is
     # built; the transforms run along the last, contiguous axis of [depth, .]
     taps = build_kernel(replace(params, bidirectional=False), L).T
@@ -145,9 +168,4 @@ def gconv_forward(signal, params: GConvParams) -> np.ndarray:
         h[:, : L - 1] = taps[:, :0:-1]  # h[L-1-s] = k_b[s] for s >= 1
         h[:, L - 1] += taps[:, 0]  # center tap k_f[0] + k_b[0]
         start = L - 1
-    out = spectral.linear_fft_conv(h, np.ascontiguousarray(sig.T), (1,), [(start, start + L)])
-    out = np.ascontiguousarray(out.T)
-
-    if params.bias is not None:
-        out = out + np.asarray(params.bias, dtype=out.dtype)[None, :]
-    return out
+    return spectral.prepare_conv(h, (params.depth, L), (1,), [(start, start + L)])

@@ -14,12 +14,17 @@ each caller names the window it keeps, and each axis pads to the smallest
 5-smooth (``next_fast_len``) length at which circular wrap cannot reach that
 window, max(stop, support - start).  Its transforms are pruned: the forward
 real pass runs over an operand's own rows only (bit for bit ``rfftn``), and
-the inverse real pass over the kept rows only.  The direct-form references
+the inverse real pass over the kept rows only.  It is ``prepare_conv``, which
+transforms one operand into an immutable ``PreparedConv``, then its
+``apply``: a caller with a fixed kernel keeps the prepared half and pays only
+for the signal's transforms.  The direct-form references
 these routes are verified against, ``dft_naive`` among them, live in
 ``oracles.py``.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -92,6 +97,14 @@ def linear_fft_conv(a, b, axes, crop=None) -> np.ndarray:
     listed axis, whose support has extent S = a + b - 1; the other axes
     broadcast.  `crop` holds one (start, stop) per listed axis, default the
     whole support (0, S), and only that window is computed and returned.
+    """
+    b = np.asarray(b)
+    return prepare_conv(a, b.shape, axes, crop).apply(b)
+
+
+def prepare_conv(a, b_shape, axes, crop=None) -> PreparedConv:
+    """`a` transformed once, so that .apply(b) is linear_fft_conv(a, b, axes,
+    crop) for any `b` of shape `b_shape`, transforming only `b`.
 
     Each axis transforms at the smallest 5-smooth n >= max(stop, S - start)
     that also holds both operands.  Proof that the window is alias-free: a
@@ -100,25 +113,59 @@ def linear_fft_conv(a, b, axes, crop=None) -> np.ndarray:
     """
     import scipy.fft
 
-    a, b = np.asarray(a), np.asarray(b)
-    if a.ndim != b.ndim:
-        raise InvalidShapeError(f"operand ranks differ: {a.ndim} and {b.ndim}")
-    if np.iscomplexobj(a) or np.iscomplexobj(b):
+    a = np.asarray(a)
+    if a.ndim != len(b_shape):
+        raise InvalidShapeError(f"operand ranks differ: {a.ndim} and {len(b_shape)}")
+    if np.iscomplexobj(a):
         raise InvalidShapeError("linear_fft_conv expects real operands")
-    axes = tuple(_resolve_axis(a.ndim, ax) for ax in axes)
+    axes = tuple(_resolve_axis(a.ndim, ax) - a.ndim for ax in axes)
+    extents = tuple(b_shape[ax] for ax in axes)
     # an empty operand gives an empty support, but a transform needs length >= 1
-    supports = [max(a.shape[ax] + b.shape[ax] - 1, 0) for ax in axes]
-    windows = [(0, s) for s in supports] if crop is None else list(crop)
+    supports = [max(a.shape[ax] + e - 1, 0) for ax, e in zip(axes, extents)]
+    windows = tuple((0, s) for s in supports) if crop is None else tuple(map(tuple, crop))
     if len(windows) != len(axes) or any(
         not 0 <= lo <= hi <= s for (lo, hi), s in zip(windows, supports)
     ):
         raise InvalidShapeError(f"crop {crop} is not one window inside each support {supports}")
-    lengths = [scipy.fft.next_fast_len(max(hi, s - lo, a.shape[ax], b.shape[ax], 1), real=True)
-               for (lo, hi), s, ax in zip(windows, supports, axes)]
-    spec = _pruned_rfftn(a, lengths, axes) * _pruned_rfftn(b, lengths, axes)
-    # pruned inverse: the complex passes run in place and keep only their
-    # window's rows, so the real pass runs over the kept rows alone
-    kept = [(slice(None),) * ax + (slice(*w),) for ax, w in zip(axes, windows)]
-    for ax, index in zip(axes[:-1], kept):
-        spec = scipy.fft.ifft(spec, None, ax, overwrite_x=True)[index]
-    return scipy.fft.irfft(spec, lengths[-1], axes[-1])[kept[-1]]
+    lengths = tuple(scipy.fft.next_fast_len(max(hi, s - lo, a.shape[ax], e, 1), real=True)
+                    for (lo, hi), s, ax, e in zip(windows, supports, axes, extents))
+    spectrum = _pruned_rfftn(a, lengths, axes)
+    spectrum.flags.writeable = False
+    return PreparedConv(spectrum, extents, lengths, axes, windows)
+
+
+@dataclass(frozen=True)
+class PreparedConv:
+    """One operand's read-only pruned spectrum, with the transform lengths, the
+    axes (negative, so that a rank-1 kernel also serves a [..., L] batch), the
+    other operand's extents along them and the kept windows."""
+
+    spectrum: np.ndarray
+    extents: tuple
+    lengths: tuple
+    axes: tuple
+    windows: tuple
+
+    def apply(self, b) -> np.ndarray:
+        """The kept window of the convolution with `b`; other axes broadcast."""
+        import scipy.fft
+
+        b = np.asarray(b)
+        if np.iscomplexobj(b):
+            raise InvalidShapeError("linear_fft_conv expects real operands")
+        if b.ndim < -min(self.axes) or tuple(b.shape[ax] for ax in self.axes) != self.extents:
+            raise InvalidShapeError(f"shape {b.shape} lacks the extents {self.extents} "
+                                    f"prepared for axes {self.axes}")
+        spec = _pruned_rfftn(b, self.lengths, self.axes)
+        # the prepared spectrum stays the left factor, because with fused
+        # multiply-adds a complex product is not bitwise commutative
+        fits = np.broadcast_shapes(self.spectrum.shape, spec.shape) == spec.shape
+        in_place = fits and np.result_type(self.spectrum, spec) == spec.dtype
+        spec = np.multiply(self.spectrum, spec, out=spec if in_place else None)
+        # pruned inverse: the complex passes run in place and keep only their
+        # window's rows, so the real pass runs over the kept rows alone
+        kept = [(..., slice(*w)) + (slice(None),) * (-1 - ax)
+                for ax, w in zip(self.axes, self.windows)]
+        for ax, index in zip(self.axes[:-1], kept):
+            spec = scipy.fft.ifft(spec, None, ax, overwrite_x=True)[index]
+        return scipy.fft.irfft(spec, self.lengths[-1], self.axes[-1])[kept[-1]]

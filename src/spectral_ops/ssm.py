@@ -20,12 +20,14 @@ is deliberately out of scope at these state sizes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from . import spectral
-from .errors import ConfigError, InvalidShapeError
+from ._slot import Slot
+from .errors import ConfigError, InvalidShapeError, require_finite
 
 SIGN_CONVENTIONS = ("as_written", "negated")
 
@@ -39,17 +41,29 @@ class SsmParams:
     B: np.ndarray
     C: np.ndarray | None = None
     sign_convention: str = "negated"
+    _kernel: Slot = field(default_factory=Slot, init=False, repr=False, compare=False)
 
 
-@dataclass
+@dataclass(frozen=True)
 class SsmKernel:
-    """Materialized kernel values K[0..L-1]."""
+    """Materialized kernel values K[0..L-1], held as a read-only copy, and the
+    spectrum causal_fft_conv prepares from them on first use (concurrent first
+    calls may both prepare it, which is harmless)."""
 
     values: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "values", np.array(self.values))
+        self.values.flags.writeable = False
 
     @property
     def L(self) -> int:
         return self.values.shape[0]
+
+    @cached_property
+    def _causal_conv(self) -> spectral.PreparedConv:
+        require_finite(kernel=self.values)
+        return spectral.prepare_conv(self.values, self.values.shape, (-1,), [(0, self.L)])
 
 
 def hippo_legs(n: int, sign_convention: str = "negated") -> SsmParams:
@@ -96,6 +110,10 @@ def ssm_kernel(params: SsmParams, L: int) -> SsmKernel:
     rows C . (e^A)^{jb}, and one matrix product of the two gives every
     value (unit time step).  A non-finite value, such as the `as_written`
     overflow at long L, raises ConfigError.
+
+    The result is kept on `params`, keyed by the values of A, B, C and L (see
+    _slot.Slot), so a repeat call with unchanged parameters returns it;
+    concurrent callers may both build it, which is harmless.
     """
     if params.C is None:
         raise ConfigError("SsmParams.C is unset; set a readout vector before materializing")
@@ -104,6 +122,11 @@ def ssm_kernel(params: SsmParams, L: int) -> SsmKernel:
     c = np.asarray(params.C, dtype=np.float64)
     if c.shape != (params.N,):
         raise InvalidShapeError(f"C must have shape [{params.N}], got {c.shape}")
+    return params._kernel.get((params.A, params.B, params.C), (L, params.N),
+                              lambda: _blocked_kernel(params, c, L))
+
+
+def _blocked_kernel(params: SsmParams, c: np.ndarray, L: int) -> SsmKernel:
     step = matrix_exp(params.A)
     block = math.isqrt(L)
     cols = np.empty((params.N, block))
@@ -131,7 +154,9 @@ def causal_fft_conv(kernel, u) -> np.ndarray:
     full linear convolution, which no future sample can wrap into.
 
     `kernel` may be an SsmKernel or a plain rank-1 array; `u` is [..., L], so
-    one call transforms the kernel once for every leading row.
+    one call transforms the kernel once for every leading row; an SsmKernel
+    keeps its spectrum.  A NaN or infinity in `u` or the kernel raises
+    NonFiniteError.
     """
     k = kernel.values if isinstance(kernel, SsmKernel) else np.asarray(kernel)
     u = np.asarray(u)
@@ -139,4 +164,6 @@ def causal_fft_conv(kernel, u) -> np.ndarray:
         raise InvalidShapeError("causal_fft_conv expects a rank-1 kernel and [..., L] input")
     if k.shape[0] != u.shape[-1]:
         raise InvalidShapeError(f"kernel length {k.shape[0]} != input length {u.shape[-1]}")
-    return spectral.linear_fft_conv(k[(None,) * (u.ndim - 1)], u, (-1,), [(0, k.shape[0])])
+    require_finite(signal=u)
+    kernel = kernel if isinstance(kernel, SsmKernel) else SsmKernel(values=k)
+    return kernel._causal_conv.apply(u)

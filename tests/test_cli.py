@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import spectral_ops
-from spectral_ops import fftconv, verify
+from spectral_ops import bench, fftconv, gconv, ssm, verify
 from spectral_ops.cli import main
 
 # absolute, so children started with cwd=tmp_path still find the package
@@ -115,6 +115,16 @@ class TestBenchCommands:
         rows = [line.split(",") for line in lines[1:]]
         assert {(r[0], r[1]) for r in rows} == {("seq", "L=32"), ("seq", "L=64")}
         assert {r[2] for r in rows} == {"ssm_kernel", "gconv_forward"}
+
+    def test_seq_times_first_calls(self, monkeypatch):
+        # every call, warm-ups included, builds its kernel: no cache hit is timed
+        calls = []
+        for module, name in ((ssm, "matrix_exp"), (gconv, "build_kernel")):
+            real = getattr(module, name)
+            monkeypatch.setattr(module, name,
+                                lambda *a, real=real, name=name: calls.append(name) or real(*a))
+        bench.bench_seq([32], repeats=2)
+        assert sorted(calls) == ["build_kernel"] * 3 + ["matrix_exp"] * 3
 
     def test_conv_guard_raises_under_optimize(self, monkeypatch, capsys):
         # a RuntimeError, unlike an assert, survives python -O

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -5,9 +7,11 @@ from spectral_ops import (
     ConfigError,
     GConvParams,
     InvalidShapeError,
+    NonFiniteError,
     Rng,
     bilinear_resize_1d,
     build_kernel,
+    gconv,
     gconv_forward,
     randn,
     scale_count,
@@ -205,3 +209,82 @@ def test_base_kernel_shape_must_match_declared():
     params = GConvParams(width=3, depth=2, base_kernel=np.ones((2, 2)))
     with pytest.raises(InvalidShapeError):
         build_kernel(params, 8)
+
+
+def _counting(monkeypatch, module, name):
+    calls = []
+    real = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *args: calls.append(args) or real(*args))
+    return calls
+
+
+class TestKernelCache:
+    @staticmethod
+    def _params(bidirectional=True):
+        rng = Rng(30)
+        base = np.round(randn(rng, (4, 3)) * 8) / 8  # exact in f32 as well
+        return GConvParams(width=4, depth=3, base_kernel=base, bidirectional=bidirectional,
+                           bias=randn(rng, (3,)))
+
+    @pytest.mark.parametrize("bidirectional", [False, True])
+    def test_repeat_call_reuses_the_kernel(self, monkeypatch, bidirectional):
+        params, sig = self._params(bidirectional), randn(Rng(31), (64, 3))
+        builds = _counting(monkeypatch, gconv, "build_kernel")
+        first = gconv_forward(sig, params)
+        assert np.array_equal(gconv_forward(sig, params), first)
+        assert np.array_equal(gconv_forward(sig.astype(np.float32), params),
+                              gconv_forward(sig.astype(np.float32), replace(params)))
+        assert len(builds) == 2  # the first call and the fresh copy
+
+    @pytest.mark.parametrize("edit", ["in place", "new array", "to f32", "bidirectional"])
+    def test_changed_params_rebuild(self, monkeypatch, edit):
+        params, sig = self._params(), randn(Rng(32), (64, 3), np.float32)
+        gconv_forward(sig, params)
+        if edit == "in place":
+            params.base_kernel[1, 2] += 0.5
+        elif edit == "new array":
+            params.base_kernel = params.base_kernel * 2.0
+        elif edit == "to f32":  # equal values: a stale f64 kernel would give f64 output
+            params.base_kernel = params.base_kernel.astype(np.float32)
+        else:
+            params.bidirectional = False
+        builds = _counting(monkeypatch, gconv, "build_kernel")
+        got = gconv_forward(sig, params)
+        assert len(builds) == 1
+        want = gconv_forward(sig, replace(params))
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    def test_switching_length_back_and_forth(self):
+        params = self._params()
+        for L in (64, 100, 64, 100):
+            sig = randn(Rng(L), (L, 3))
+            assert np.array_equal(gconv_forward(sig, params), gconv_forward(sig, replace(params)))
+
+    def test_bias_is_applied_after_the_kept_conv(self, monkeypatch):
+        params, sig = self._params(), randn(Rng(33), (64, 3))
+        gconv_forward(sig, params)
+        builds = _counting(monkeypatch, gconv, "build_kernel")
+        params.bias = params.bias + 1.0
+        got = gconv_forward(sig, params)
+        assert builds == []
+        assert np.array_equal(got, gconv_forward(sig, replace(params)))
+
+    def test_replace_and_eq_ignore_the_kept_conv(self):
+        params = self._params()
+        gconv_forward(np.ones((16, 3)), params)
+        assert replace(params) == params
+        assert "_conv" not in repr(params)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("operand", ["signal", "base_kernel", "bias"])
+def test_non_finite_operand_rejected(operand, value):
+    # through the FFT one such value would turn every output NaN; the kernel
+    # is checked when it is built, here after an in-place edit of a kept one
+    args = {"signal": np.ones((16, 2)), "base_kernel": np.ones((4, 2)), "bias": np.zeros(2)}
+    params = GConvParams(width=4, depth=2, base_kernel=args["base_kernel"], bidirectional=True,
+                         bias=args["bias"])
+    gconv_forward(args["signal"].copy(), params)
+    args[operand][0, ...] = value
+    with pytest.raises(NonFiniteError, match=operand):
+        gconv_forward(args["signal"], params)

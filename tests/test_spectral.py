@@ -1,5 +1,6 @@
 import ast
 import re
+from dataclasses import FrozenInstanceError
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +19,7 @@ from spectral_ops import (
     gconv_forward,
     irfft2,
     linear_fft_conv,
+    prepare_conv,
     randn,
     rfft2,
     spectral,
@@ -212,6 +214,48 @@ class TestLinearFftConv:
             linear_fft_conv(np.zeros(3, dtype=complex), np.zeros(3), (0,))
 
 
+class TestPreparedConv:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_applied_equals_linear_fft_conv(self, dtype):
+        rng = Rng(50)
+        a = randn(rng, (1, 9), dtype)
+        for crop in (None, [(3, 12)]):
+            conv = prepare_conv(a, (4, 7), (1,), crop)
+            for _ in range(2):  # one prepared operand serves every new signal
+                b = randn(rng, (4, 7), dtype)
+                assert np.array_equal(conv.apply(b), linear_fft_conv(a, b, (1,), crop))
+        # a rank-1 kernel's spectrum serves a [..., L] batch
+        k, u = randn(rng, (16,), dtype), randn(rng, (3, 16), dtype)
+        got = prepare_conv(k, k.shape, (-1,), [(0, 16)]).apply(u)
+        assert np.array_equal(got, linear_fft_conv(k[None], u, (-1,), [(0, 16)]))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_two_axes_at_the_xcorr_windows(self, dtype):
+        rng = Rng(51)
+        img, ker = randn(rng, (2, 20, 17), dtype), randn(rng, (2, 5, 4), dtype)
+        flipped = ker[:, ::-1, ::-1]
+        for mode, crop in (("full", None), ("same", [(2, 22), (2, 19)]),
+                           ("valid", [(4, 20), (3, 17)])):
+            got = prepare_conv(img, flipped.shape, (1, 2), crop).apply(flipped)
+            assert np.array_equal(got, linear_fft_conv(img, flipped, (1, 2), crop))
+            assert np.array_equal(got, fft_xcorr2d(img, ker, mode=mode))
+
+    def test_immutable_with_a_read_only_spectrum(self):
+        conv = prepare_conv(np.ones(4), (6,), (0,))
+        with pytest.raises(ValueError):
+            conv.spectrum[0] = 0.0
+        with pytest.raises(FrozenInstanceError):
+            conv.lengths = (64,)
+
+    def test_apply_rejects_other_extents_and_complex(self):
+        conv = prepare_conv(np.ones((2, 4)), (2, 6), (1,))
+        for b in (np.ones((2, 7)), np.ones(()), np.ones((2, 6), dtype=complex)):
+            with pytest.raises(InvalidShapeError):
+                conv.apply(b)
+        with pytest.raises(InvalidShapeError):
+            prepare_conv(np.ones((2, 4)), (6,), (1,))
+
+
 def _five_smooth(n):
     for p in (2, 3, 5):
         while n % p == 0:
@@ -239,20 +283,22 @@ def _bidirectional_gconv_16384():
 
 
 def _record_seam_lengths(monkeypatch):
-    """Patch linear_fft_conv and every scipy.fft call it makes; each convolution
-    records (alias-free bound per axis, full supports, [(axis, length), ...])."""
+    """Patch prepare_conv, the step every convolution (linear_fft_conv and the
+    kernels ssm and gconv keep) starts from, and every scipy.fft call; each
+    convolution records (alias-free bound per axis, full supports,
+    [(axis, length), ...]) for the transforms of its prepare and apply steps."""
     calls = []
-    real_conv = spectral.linear_fft_conv
+    real_prepare = spectral.prepare_conv
 
-    def conv(a, b, axes, crop=None):
+    def prepare(a, b_shape, axes, crop=None):
         axes = [ax % np.ndim(a) for ax in axes]
-        supports = [np.shape(a)[ax] + np.shape(b)[ax] - 1 for ax in axes]
+        supports = [np.shape(a)[ax] + b_shape[ax] - 1 for ax in axes]
         windows = crop if crop is not None else [(0, s) for s in supports]
         need = {ax: max(stop, s - start) for ax, (start, stop), s in zip(axes, windows, supports)}
         calls.append((need, supports, []))
-        return real_conv(a, b, axes) if crop is None else real_conv(a, b, axes, crop)
+        return real_prepare(a, b_shape, axes, crop)
 
-    monkeypatch.setattr(spectral, "linear_fft_conv", conv)
+    monkeypatch.setattr(spectral, "prepare_conv", prepare)
     for name in ("fft", "ifft", "rfft", "irfft", "rfftn", "irfftn"):
         def recording(x, n, axes, *args, real=getattr(scipy.fft, name), **kwargs):
             resolved = np.atleast_1d(axes) % np.ndim(x)

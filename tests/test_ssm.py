@@ -1,4 +1,5 @@
 import math
+from dataclasses import FrozenInstanceError, replace
 
 import mpmath
 import numpy as np
@@ -7,12 +8,14 @@ import pytest
 from spectral_ops import (
     ConfigError,
     InvalidShapeError,
+    NonFiniteError,
     Rng,
     SsmKernel,
     causal_fft_conv,
     hippo_legs,
     matrix_exp,
     randn,
+    ssm,
     ssm_kernel,
 )
 from spectral_ops.oracles import direct_causal_conv, per_t_ssm_kernel
@@ -222,3 +225,82 @@ class TestCausalFftConv:
             trunc[t + 1 :] = 0.0
             diff = np.max(np.abs(causal_fft_conv(k, trunc)[: t + 1] - y[: t + 1]))
             assert diff <= 1e-12
+
+
+def _counting(monkeypatch, module, name):
+    calls = []
+    real = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *args: calls.append(args) or real(*args))
+    return calls
+
+
+class TestKernelCache:
+    @staticmethod
+    def _params():
+        params = hippo_legs(6)
+        params.C = np.round(randn(Rng(40), (6,)) * 8) / 8  # exact in f32 as well
+        return params
+
+    def test_repeat_call_reuses_kernel_and_spectrum(self, monkeypatch):
+        params, u = self._params(), randn(Rng(41), (2, 50))
+        exps = _counting(monkeypatch, ssm, "matrix_exp")
+        kernel = ssm_kernel(params, 50)
+        first = causal_fft_conv(kernel, u)
+        again = ssm_kernel(params, 50)
+        assert again is kernel and len(exps) == 1
+        assert np.array_equal(causal_fft_conv(again, u), first)
+        assert np.array_equal(first, causal_fft_conv(kernel.values.copy(), u))
+
+    @pytest.mark.parametrize("edit", ["A in place", "B in place", "C in place",
+                                      "C new array", "C to f32"])
+    def test_changed_params_rebuild(self, monkeypatch, edit):
+        params = self._params()
+        ssm_kernel(params, 50)
+        if edit == "A in place":
+            params.A[2, 1] *= 0.5
+        elif edit == "B in place":
+            params.B[0] += 1.0
+        elif edit == "C in place":
+            params.C[3] = -params.C[3]
+        elif edit == "C new array":
+            params.C = params.C * 2.0
+        else:
+            params.C = params.C.astype(np.float32)
+        exps = _counting(monkeypatch, ssm, "matrix_exp")
+        got = ssm_kernel(params, 50).values
+        assert len(exps) == 1
+        assert np.array_equal(got, ssm_kernel(replace(params), 50).values)
+
+    def test_switching_length_back_and_forth(self):
+        params = self._params()
+        for L in (40, 90, 40, 90):
+            assert np.array_equal(ssm_kernel(params, L).values,
+                                  ssm_kernel(replace(params), L).values)
+
+    def test_replace_and_eq_ignore_the_kept_kernel(self):
+        params = self._params()
+        ssm_kernel(params, 20)
+        assert replace(params) == params
+        assert "_kernel" not in repr(params)
+
+    def test_values_are_a_read_only_copy(self):
+        raw = np.arange(5.0)
+        kernel = SsmKernel(values=raw)
+        raw[0] = 9.0
+        assert kernel.values[0] == 0.0
+        with pytest.raises(ValueError):
+            kernel.values[1] = 1.0
+        with pytest.raises(FrozenInstanceError):
+            kernel.values = raw
+        with pytest.raises(ValueError):
+            ssm_kernel(self._params(), 8).values[0] = 0.0
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("operand", ["signal", "kernel"])
+@pytest.mark.parametrize("wrap", [np.asarray, lambda k: SsmKernel(values=k)])
+def test_non_finite_operand_rejected(operand, value, wrap):
+    k, u = np.ones(8), np.ones((2, 8))
+    {"kernel": k, "signal": u}[operand].flat[3] = value
+    with pytest.raises(NonFiniteError, match=operand):
+        causal_fft_conv(wrap(k), u)
