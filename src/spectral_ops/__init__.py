@@ -13,21 +13,14 @@ layer, and verification/benchmark plumbing surfaced through the
 `spectral-ops` CLI.
 """
 
-from .bench import BenchRow, bench_seq, time_cases, write_csv
+from .bench import BenchRow, bench_conv, bench_mixing, bench_seq, time_cases, write_csv
 from .errors import ConfigError, FormatError, InvalidShapeError, NonFiniteError
-from .fftconv import (
-    MODES,
-    bench_conv,
-    direct_xcorr2d,
-    fft_circular_conv2d,
-    fft_xcorr2d,
-)
+from .fftconv import MODES, direct_xcorr2d, fft_circular_conv2d, fft_xcorr2d
 from .fit import (
     BlockWeights,
     FitConfig,
     FitModel,
     attention_mixing,
-    bench_mixing,
     count_params,
     cross_entropy,
     feed_forward,
@@ -65,10 +58,10 @@ from .verify import SuiteResult, run_suites
 __version__ = "0.1.0"
 
 __all__ = [
-    "BenchRow", "bench_seq", "time_cases", "write_csv",
+    "BenchRow", "bench_conv", "bench_mixing", "bench_seq", "time_cases", "write_csv",
     "ConfigError", "FormatError", "InvalidShapeError", "NonFiniteError",
-    "MODES", "bench_conv", "direct_xcorr2d", "fft_circular_conv2d", "fft_xcorr2d",
-    "BlockWeights", "FitConfig", "FitModel", "attention_mixing", "bench_mixing",
+    "MODES", "direct_xcorr2d", "fft_circular_conv2d", "fft_xcorr2d",
+    "BlockWeights", "FitConfig", "FitModel", "attention_mixing",
     "count_params", "cross_entropy", "feed_forward", "fit_block", "fit_forward",
     "fourier_mixing", "gelu", "init_fit_model", "layer_norm", "load_model",
     "patch_embed", "save_model", "softmax",

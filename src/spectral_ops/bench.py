@@ -1,4 +1,4 @@
-"""Microbenchmark plumbing: timed medians and CSV rows.
+"""Microbenchmark sweeps of the ops, with their timed medians and CSV rows.
 
 Timing protocol: one warm-up call per case (excluded), then `repeats` rounds
 of one timed call per case on the monotonic clock; the median is reported.
@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import gconv, ssm
+from . import fftconv, fit, gconv, ssm
 from .tensor import Rng, randn
 
 CSV_HEADER = "suite,params,method,median_ms,repeats,checksum"
@@ -83,5 +83,53 @@ def bench_seq(seq_lens, repeats: int = 5, seed: int = 42):
             ("seq", f"L={L}", "ssm_kernel", lambda L=L: ssm.ssm_kernel(replace(ssm_params), L).values),
             ("seq", f"L={L}", "gconv_forward",
              lambda s=signal: gconv.gconv_forward(s, replace(gconv_params))),
+        ]
+    return time_cases(cases, repeats)
+
+
+def bench_conv(image_sizes, kernel_sizes, repeats: int = 5, dtype=np.float32, seed: int = 42):
+    """Time direct vs FFT same-mode correlation over an (n, m) grid.
+
+    Returns one BenchRow per (n, m, method).  Runs a small-case equality
+    guard before any timing so a broken path can never produce timings.
+    """
+    guard_img = randn(Rng(seed), (1, 8, 8), np.float64)
+    guard_ker = randn(Rng(seed + 1), (1, 3, 3), np.float64)
+    guard_diff = np.max(
+        np.abs(
+            fftconv.fft_xcorr2d(guard_img, guard_ker, mode="same")
+            - fftconv.direct_xcorr2d(guard_img, guard_ker, mode="same")
+        )
+    )
+    if not guard_diff <= 1e-10:
+        raise RuntimeError(f"conv guard failed: max |fft - direct| = {guard_diff}")
+
+    rng = Rng(seed)
+    cases = []
+    for n in image_sizes:
+        for m in kernel_sizes:
+            img = randn(rng, (1, n, n), dtype)
+            ker = randn(rng, (1, m, m), dtype)
+            for method, fn in (("direct", fftconv.direct_xcorr2d), ("fft", fftconv.fft_xcorr2d)):
+                cases.append(("conv", f"n={n} m={m}", method,
+                              lambda fn=fn, img=img, ker=ker: fn(img, ker, mode="same")))
+    return time_cases(cases, repeats)
+
+
+def bench_mixing(seq_lens, d: int, repeats: int = 5, seed: int = 42):
+    """Time fourier_mixing vs attention_mixing on [S, d] f32 inputs."""
+    num_heads = 4 if d % 4 == 0 else 1
+    rng = Rng(seed)
+    cases = []
+    for s in seq_lens:
+        x = randn(rng, (s, d), np.float32)
+        block = fit.BlockWeights()
+        for p in "qkvo":
+            setattr(block, f"w_{p}", randn(rng, (d, d), np.float32) / np.float32(np.sqrt(d)))
+            setattr(block, f"b_{p}", np.zeros(d, dtype=np.float32))
+        cases += [
+            ("mixing", f"S={s} d={d}", "fourier", lambda x=x: fit.fourier_mixing(x)),
+            ("mixing", f"S={s} d={d}", "attention",
+             lambda x=x, b=block: fit.attention_mixing(x, b, num_heads)),
         ]
     return time_cases(cases, repeats)

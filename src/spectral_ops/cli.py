@@ -15,8 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import fftconv, fit, verify
-from .bench import bench_seq, write_csv
+from . import bench, fit, verify
 from .tensor import Rng, randn, read_tensor, write_tensor
 
 
@@ -46,30 +45,20 @@ def cmd_verify(args) -> int:
     return 0 if failed == 0 else 1
 
 
-def _emit_rows(rows, out_path) -> int:
-    if out_path:
-        with open(out_path, "w") as fh:
-            write_csv(rows, fh)
+def cmd_bench(args) -> int:
+    seed = _default_seed()
+    if args.bench_kind == "conv":
+        rows = bench.bench_conv(args.image_sizes, args.kernel_sizes, repeats=args.repeats, seed=seed)
+    elif args.bench_kind == "mixing":
+        rows = bench.bench_mixing(args.seq_lens, args.dim, repeats=args.repeats, seed=seed)
     else:
-        write_csv(rows, sys.stdout)
+        rows = bench.bench_seq(args.seq_lens, repeats=args.repeats, seed=seed)
+    if args.out:
+        with open(args.out, "w") as fh:
+            bench.write_csv(rows, fh)
+    else:
+        bench.write_csv(rows, sys.stdout)
     return 0
-
-
-def cmd_bench_conv(args) -> int:
-    rows = fftconv.bench_conv(
-        args.image_sizes, args.kernel_sizes, repeats=args.repeats, seed=_default_seed()
-    )
-    return _emit_rows(rows, args.out)
-
-
-def cmd_bench_mixing(args) -> int:
-    rows = fit.bench_mixing(args.seq_lens, args.dim, repeats=args.repeats, seed=_default_seed())
-    return _emit_rows(rows, args.out)
-
-
-def cmd_bench_seq(args) -> int:
-    rows = bench_seq(args.seq_lens, repeats=args.repeats, seed=_default_seed())
-    return _emit_rows(rows, args.out)
 
 
 def cmd_demo(args) -> int:
@@ -117,28 +106,26 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.set_defaults(func=cmd_verify)
 
     p_bench = sub.add_parser("bench", help="timing sweeps, CSV output")
+    p_bench.set_defaults(func=cmd_bench)
     bench_sub = p_bench.add_subparsers(dest="bench_kind", required=True)
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--repeats", type=int, default=5)
+    common.add_argument("--out", type=Path, default=None)
 
-    p_conv = bench_sub.add_parser("conv", help="direct vs FFT same-mode correlation")
+    p_conv = bench_sub.add_parser("conv", parents=[common],
+                                  help="direct vs FFT same-mode correlation")
     p_conv.add_argument("--image-sizes", type=_int_list, required=True)
     p_conv.add_argument("--kernel-sizes", type=_int_list, required=True)
-    p_conv.add_argument("--repeats", type=int, default=5)
-    p_conv.add_argument("--out", type=Path, default=None)
-    p_conv.set_defaults(func=cmd_bench_conv)
 
-    p_mix = bench_sub.add_parser("mixing", help="fourier vs attention token mixing")
+    p_mix = bench_sub.add_parser("mixing", parents=[common],
+                                 help="fourier vs attention token mixing")
     p_mix.add_argument("--seq-lens", type=_int_list, required=True)
     p_mix.add_argument("--dim", type=int, required=True)
-    p_mix.add_argument("--repeats", type=int, default=5)
-    p_mix.add_argument("--out", type=Path, default=None)
-    p_mix.set_defaults(func=cmd_bench_mixing)
 
-    p_seq = bench_sub.add_parser("seq", help="ssm_kernel and bidirectional gconv_forward")
+    p_seq = bench_sub.add_parser("seq", parents=[common],
+                                 help="ssm_kernel and bidirectional gconv_forward")
     p_seq.add_argument("--seq-lens", type=_int_list, default=[1024, 4096, 16384, 65536],
                        help="lengths, each >= 32 (default: 1024,4096,16384,65536)")
-    p_seq.add_argument("--repeats", type=int, default=5)
-    p_seq.add_argument("--out", type=Path, default=None)
-    p_seq.set_defaults(func=cmd_bench_seq)
 
     p_demo = sub.add_parser("demo", help="forward pass of a saved model on an FTNS input")
     p_demo.add_argument("--model", type=Path, required=True, help="model directory")

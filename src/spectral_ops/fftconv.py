@@ -33,7 +33,6 @@ import numpy as np
 
 from . import spectral
 from .errors import InvalidShapeError, require_finite
-from .tensor import Rng, randn
 
 MODES = ("full", "same", "valid", "circular")
 
@@ -177,34 +176,3 @@ def fft_circular_conv2d(image, kernel) -> np.ndarray:
         spectral.rfft2(img) * spectral.rfft2(_fold_mod(ker, h, w)), (h, w)
     )
     return out[0] if squeeze else out
-
-
-def bench_conv(image_sizes, kernel_sizes, repeats: int = 5, dtype=np.float32, seed: int = 42):
-    """Time direct vs FFT same-mode correlation over an (n, m) grid.
-
-    Returns one BenchRow per (n, m, method).  Runs a small-case equality
-    guard before any timing so a broken path can never produce timings.
-    """
-    from .bench import time_cases
-
-    guard_img = randn(Rng(seed), (1, 8, 8), np.float64)
-    guard_ker = randn(Rng(seed + 1), (1, 3, 3), np.float64)
-    guard_diff = np.max(
-        np.abs(
-            fft_xcorr2d(guard_img, guard_ker, mode="same")
-            - direct_xcorr2d(guard_img, guard_ker, mode="same")
-        )
-    )
-    if not guard_diff <= 1e-10:
-        raise RuntimeError(f"conv guard failed: max |fft - direct| = {guard_diff}")
-
-    rng = Rng(seed)
-    cases = []
-    for n in image_sizes:
-        for m in kernel_sizes:
-            img = randn(rng, (1, n, n), dtype)
-            ker = randn(rng, (1, m, m), dtype)
-            for method, fn in (("direct", direct_xcorr2d), ("fft", fft_xcorr2d)):
-                cases.append(("conv", f"n={n} m={m}", method,
-                              lambda fn=fn, img=img, ker=ker: fn(img, ker, mode="same")))
-    return time_cases(cases, repeats)

@@ -23,7 +23,7 @@ forward passes are safe to run concurrently.  Forward-only: no autodiff.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -277,129 +277,92 @@ def count_params(config: FitConfig) -> int:
     return total
 
 
-def init_fit_model(config: FitConfig, rng: Rng) -> FitModel:
-    """Seeded demo initialization.
+def _layout(config: FitConfig) -> list[tuple[str, tuple[int, ...], int | float]]:
+    """(file name, shape, init) for every model tensor, in file order.
 
-    Weights are standard-normal scaled by 1/sqrt(fan_in); biases and the
-    positional table start at zero; the CLS token is unit-scale normal;
-    norm scales/shifts start at 1/0.  Draw order (for stream reproduction):
-    patch_proj_weight, cls_token, then per block [w_ff, w_dense, and for
-    attention w_q, w_k, w_v, w_o], then head_weight.
+    An int init is a fan-in: the tensor is standard-normal divided by its
+    square root.  A float init is a constant fill.  Drawn tensors take the
+    random stream in this order; fills draw nothing.
     """
     d = config.embed_dim
     dff = config.dim_feedforward
+    block = [
+        ("gamma1", (d,), 1.0), ("beta1", (d,), 0.0),
+        ("w_ff", (dff, d), d), ("b_ff", (dff,), 0.0),
+        ("w_dense", (d, dff), dff), ("b_dense", (d,), 0.0),
+        ("gamma2", (d,), 1.0), ("beta2", (d,), 0.0),
+    ]
+    if config.mixer == "attention":
+        for p in "qkvo":
+            block += [(f"w_{p}", (d, d), d), (f"b_{p}", (d,), 0.0)]
+    return [
+        ("patch_proj_weight", (d, config.patch_dim), config.patch_dim),
+        ("patch_proj_bias", (d,), 0.0),
+        ("cls_token", (1, d), 1),
+        ("pos_embed", (config.seq_len, d), 0.0),
+        *((f"block{i}.{name}", shape, init)
+          for i in range(config.depth) for name, shape, init in block),
+        ("head_weight", (config.num_classes, d), d),
+        ("head_bias", (config.num_classes,), 0.0),
+    ]
 
-    def scaled(shape, fan_in):
-        return randn(rng, shape) / np.sqrt(fan_in)
 
-    model = FitModel(
-        config=config,
-        patch_proj_weight=scaled((d, config.patch_dim), config.patch_dim),
-        patch_proj_bias=np.zeros(d),
-        cls_token=randn(rng, (1, d)),
-        pos_embed=np.zeros((config.seq_len, d)),
-    )
-    for _ in range(config.depth):
-        block = BlockWeights(
-            gamma1=np.ones(d),
-            beta1=np.zeros(d),
-            w_ff=scaled((dff, d), d),
-            b_ff=np.zeros(dff),
-            w_dense=scaled((d, dff), dff),
-            b_dense=np.zeros(d),
-            gamma2=np.ones(d),
-            beta2=np.zeros(d),
-        )
-        if config.mixer == "attention":
-            block.w_q = scaled((d, d), d)
-            block.b_q = np.zeros(d)
-            block.w_k = scaled((d, d), d)
-            block.b_k = np.zeros(d)
-            block.w_v = scaled((d, d), d)
-            block.b_v = np.zeros(d)
-            block.w_o = scaled((d, d), d)
-            block.b_o = np.zeros(d)
-        model.blocks.append(block)
-    model.head_weight = scaled((config.num_classes, d), d)
-    model.head_bias = np.zeros(config.num_classes)
+def _slot(model: FitModel, name: str) -> tuple[FitModel | BlockWeights, str]:
+    """(object, attribute) that holds the tensor saved as `name`."""
+    block, _, attr = name.rpartition(".")
+    return (model.blocks[int(block.removeprefix("block"))] if block else model), attr
+
+
+def _assemble(config: FitConfig, tensors: dict[str, np.ndarray]) -> FitModel:
+    """FitModel from {file name: tensor} over the names of _layout(config)."""
+    # the four leading tensor fields are set from `tensors` with the rest
+    model = FitModel(config, None, None, None, None, [BlockWeights() for _ in range(config.depth)])
+    for name, tensor in tensors.items():
+        setattr(*_slot(model, name), tensor)
     return model
+
+
+def init_fit_model(config: FitConfig, rng: Rng) -> FitModel:
+    """Seeded demo initialization, following _layout: weights are
+    standard-normal scaled by 1/sqrt(fan_in), the CLS token is unit-scale
+    normal, biases and the positional table start at zero, norm scales and
+    shifts at 1 and 0.  Draw order (for stream reproduction): patch_proj_weight,
+    cls_token, then per block [w_ff, w_dense, and for attention w_q, w_k,
+    w_v, w_o], then head_weight.
+    """
+    tensors = {}
+    for name, shape, init in _layout(config):
+        if isinstance(init, float):
+            tensors[name] = np.full(shape, init)
+        else:
+            tensors[name] = randn(rng, shape) / np.sqrt(init)
+    return _assemble(config, tensors)
 
 
 # --- model directory I/O ----------------------------------------------------
 
-_BLOCK_FIELDS = ("gamma1", "beta1", "w_ff", "b_ff", "w_dense", "b_dense", "gamma2", "beta2")
-_ATTN_FIELDS = ("w_q", "b_q", "w_k", "b_k", "w_v", "b_v", "w_o", "b_o")
 _MANIFEST = "manifest.txt"
-
-
-def _config_items(config: FitConfig) -> list[tuple[str, str]]:
-    return [
-        ("img_h", str(config.img_size[0])),
-        ("img_w", str(config.img_size[1])),
-        ("patch_h", str(config.patch_size[0])),
-        ("patch_w", str(config.patch_size[1])),
-        ("in_chans", str(config.in_chans)),
-        ("embed_dim", str(config.embed_dim)),
-        ("dim_feedforward", str(config.dim_feedforward)),
-        ("depth", str(config.depth)),
-        ("num_classes", str(config.num_classes)),
-        ("num_heads", str(config.num_heads)),
-        ("dropout_rate", repr(config.dropout_rate)),
-        ("mixer", config.mixer),
-    ]
+# FitConfig's tuple fields take one manifest key per element
+_PAIR_KEYS = {"img_size": ("img_h", "img_w"), "patch_size": ("patch_h", "patch_w")}
 
 
 def save_model(model: FitModel, directory) -> None:
     """Write a model as a directory: manifest.txt plus one FTNS file per tensor."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    lines = [f"{key}={value}" for key, value in _config_items(model.config)]
+    lines = []
+    for f in fields(FitConfig):
+        value = getattr(model.config, f.name)
+        items = zip(_PAIR_KEYS[f.name], value) if f.name in _PAIR_KEYS else [(f.name, value)]
+        lines += [f"{key}={v}" for key, v in items]
     (directory / _MANIFEST).write_text("\n".join(lines) + "\n")
-    for name, tensor in _named_tensors(model):
-        write_tensor(tensor, directory / f"{name}.ftns")
-
-
-def _named_tensors(model: FitModel):
-    yield "patch_proj_weight", model.patch_proj_weight
-    yield "patch_proj_bias", model.patch_proj_bias
-    yield "cls_token", model.cls_token
-    yield "pos_embed", model.pos_embed
-    fields = _BLOCK_FIELDS + (_ATTN_FIELDS if model.config.mixer == "attention" else ())
-    for i, block in enumerate(model.blocks):
-        for name in fields:
-            yield f"block{i}.{name}", getattr(block, name)
-    yield "head_weight", model.head_weight
-    yield "head_bias", model.head_bias
-
-
-def _expected_shapes(config: FitConfig) -> dict[str, tuple[int, ...]]:
-    d = config.embed_dim
-    dff = config.dim_feedforward
-    shapes = {
-        "patch_proj_weight": (d, config.patch_dim),
-        "patch_proj_bias": (d,),
-        "cls_token": (1, d),
-        "pos_embed": (config.seq_len, d),
-        "head_weight": (config.num_classes, d),
-        "head_bias": (config.num_classes,),
-    }
-    block = {
-        "gamma1": (d,), "beta1": (d,),
-        "w_ff": (dff, d), "b_ff": (dff,),
-        "w_dense": (d, dff), "b_dense": (d,),
-        "gamma2": (d,), "beta2": (d,),
-    }
-    if config.mixer == "attention":
-        for name in _ATTN_FIELDS:
-            block[name] = (d, d) if name.startswith("w") else (d,)
-    for i in range(config.depth):
-        for name, shape in block.items():
-            shapes[f"block{i}.{name}"] = shape
-    return shapes
+    for name, _, _ in _layout(model.config):
+        write_tensor(getattr(*_slot(model, name)), directory / f"{name}.ftns")
 
 
 def load_model(directory) -> FitModel:
-    """Read a save_model directory back; shape mismatches raise ConfigError."""
+    """Read a save_model directory back; a missing or malformed manifest key,
+    a missing tensor file or a shape mismatch raises ConfigError."""
     directory = Path(directory)
     manifest = directory / _MANIFEST
     if not manifest.is_file():
@@ -413,24 +376,23 @@ def load_model(directory) -> FitModel:
             raise ConfigError(f"{manifest}:{ln}: expected key=value, got {line!r}")
         key, _, value = line.partition("=")
         entries[key.strip()] = value.strip()
-    try:
-        config = FitConfig(
-            img_size=(int(entries["img_h"]), int(entries["img_w"])),
-            patch_size=(int(entries["patch_h"]), int(entries["patch_w"])),
-            in_chans=int(entries["in_chans"]),
-            embed_dim=int(entries["embed_dim"]),
-            dim_feedforward=int(entries["dim_feedforward"]),
-            depth=int(entries["depth"]),
-            num_classes=int(entries["num_classes"]),
-            num_heads=int(entries["num_heads"]),
-            dropout_rate=float(entries["dropout_rate"]),
-            mixer=entries["mixer"],
-        )
-    except KeyError as exc:
-        raise ConfigError(f"{manifest}: missing required key {exc.args[0]!r}") from exc
+    kwargs = {}
+    for f in fields(FitConfig):
+        pair = f.name in _PAIR_KEYS
+        parse = type(f.default[0] if pair else f.default)  # int, float or str
+        values = []
+        for key in _PAIR_KEYS.get(f.name, (f.name,)):
+            if key not in entries:
+                raise ConfigError(f"{manifest}: missing required key {key!r}")
+            try:
+                values.append(parse(entries[key]))
+            except ValueError as exc:
+                raise ConfigError(f"{manifest}: bad value for {key!r}: {exc}") from exc
+        kwargs[f.name] = tuple(values) if pair else values[0]
+    config = FitConfig(**kwargs)
 
     tensors = {}
-    for name, shape in _expected_shapes(config).items():
+    for name, shape, _ in _layout(config):
         path = directory / f"{name}.ftns"
         if not path.is_file():
             raise ConfigError(f"missing tensor file: {path}")
@@ -440,43 +402,4 @@ def load_model(directory) -> FitModel:
                 f"{path}: tensor shape {t.shape} does not match configured {shape}"
             )
         tensors[name] = t
-
-    blocks = []
-    fields = _BLOCK_FIELDS + (_ATTN_FIELDS if config.mixer == "attention" else ())
-    for i in range(config.depth):
-        blocks.append(
-            BlockWeights(**{name: tensors[f"block{i}.{name}"] for name in fields})
-        )
-    return FitModel(
-        config=config,
-        patch_proj_weight=tensors["patch_proj_weight"],
-        patch_proj_bias=tensors["patch_proj_bias"],
-        cls_token=tensors["cls_token"],
-        pos_embed=tensors["pos_embed"],
-        blocks=blocks,
-        head_weight=tensors["head_weight"],
-        head_bias=tensors["head_bias"],
-    )
-
-
-def bench_mixing(seq_lens, d: int, repeats: int = 5, seed: int = 42):
-    """Time fourier_mixing vs attention_mixing on [S, d] f32 inputs."""
-    from .bench import time_cases
-
-    num_heads = 4 if d % 4 == 0 else 1
-    rng = Rng(seed)
-    cases = []
-    for s in seq_lens:
-        x = randn(rng, (s, d), np.float32)
-        block = BlockWeights()
-        for name in _ATTN_FIELDS:
-            if name.startswith("w"):
-                setattr(block, name, randn(rng, (d, d), np.float32) / np.float32(np.sqrt(d)))
-            else:
-                setattr(block, name, np.zeros(d, dtype=np.float32))
-        cases += [
-            ("mixing", f"S={s} d={d}", "fourier", lambda x=x: fourier_mixing(x)),
-            ("mixing", f"S={s} d={d}", "attention",
-             lambda x=x, b=block: attention_mixing(x, b, num_heads)),
-        ]
-    return time_cases(cases, repeats)
+    return _assemble(config, tensors)

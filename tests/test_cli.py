@@ -135,7 +135,7 @@ class TestBenchCommands:
 
         monkeypatch.setattr(fftconv, "fft_xcorr2d", crooked)
         with pytest.raises(RuntimeError, match="conv guard failed"):
-            fftconv.bench_conv([8], [3], repeats=1)
+            bench.bench_conv([8], [3], repeats=1)
         assert main(["bench", "conv", "--image-sizes", "8", "--kernel-sizes", "3",
                      "--repeats", "1"]) == 1
         assert "conv guard failed" in capsys.readouterr().err

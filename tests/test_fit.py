@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import mpmath
@@ -25,6 +26,7 @@ from spectral_ops import (
     load_model,
     patch_embed,
     randn,
+    read_tensor,
     save_model,
 )
 from spectral_ops.oracles import naive_fourier_mixing
@@ -433,6 +435,47 @@ class TestModelIo:
         write_tensor(np.zeros((3, 3)), tmp_path / "m" / "cls_token.ftns")
         with pytest.raises(ConfigError, match="cls_token"):
             load_model(tmp_path / "m")
+
+    @pytest.mark.parametrize("key, value", [
+        ("depth", "two"), ("dropout_rate", "x"), ("img_h", ""),
+    ])
+    def test_malformed_manifest_value_names_key(self, tmp_path, key, value):
+        save_model(init_fit_model(small_config(), Rng(41)), tmp_path / "m")
+        manifest = tmp_path / "m" / "manifest.txt"
+        lines = [f"{key}={value}" if line.startswith(f"{key}=") else line
+                 for line in manifest.read_text().splitlines()]
+        manifest.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ConfigError, match=f"manifest.txt: bad value for '{key}'"):
+            load_model(tmp_path / "m")
+
+    def test_model_directories_are_byte_stable(self, tmp_path):
+        # sha256 over the sorted file names and bytes of six saved models,
+        # pinned from the layout as first written: the manifest keys, file
+        # names, shapes, init rules and draw order must all stay as they are
+        digest = hashlib.sha256()
+        for mixer in ("fourier", "attention"):
+            for depth in (0, 1, 3):
+                cfg = FitConfig(
+                    img_size=(8, 12), patch_size=(4, 4), in_chans=2, embed_dim=8,
+                    dim_feedforward=12, depth=depth, num_classes=5, num_heads=2,
+                    dropout_rate=0.125, mixer=mixer,
+                )
+                directory = tmp_path / f"{mixer}{depth}"
+                save_model(init_fit_model(cfg, Rng(7)), directory)
+                for path in sorted(directory.iterdir()):
+                    digest.update(f"{directory.name}/{path.name}\n".encode())
+                    digest.update(path.read_bytes())
+        assert digest.hexdigest() == (
+            "333371c562a9af4e8e090aee0fe84315fa51c1013ea7d594dd8d50591bea4156"
+        )
+
+    @pytest.mark.parametrize("mixer", ["fourier", "attention"])
+    @pytest.mark.parametrize("depth", [0, 1, 2, 3])
+    def test_count_params_matches_saved_scalars(self, tmp_path, mixer, depth):
+        cfg = small_config(mixer=mixer, depth=depth)
+        save_model(init_fit_model(cfg, Rng(42)), tmp_path)
+        tensors = [read_tensor(p) for p in tmp_path.glob("*.ftns")]
+        assert sum(t.size for t in tensors) == count_params(cfg)
 
 
 class TestBenchMixing:

@@ -335,7 +335,7 @@ def test_bidirectional_gconv_transforms_at_the_kept_window(monkeypatch):
 
 def test_raw_fft_calls_only_in_the_seam():
     # verify.py keeps raw calls on purpose: they are independent oracles
-    raw = re.compile(r"np\.fft|numpy\.fft|scipy\.fft")
+    raw = re.compile(r"np\.fft|numpy\.fft|scipy\.fft|from (numpy|scipy) import .*\bfft\b")
     src = Path(spectral_ops.__file__).parent
     offenders = [
         f"{path.name}:{lineno}"
