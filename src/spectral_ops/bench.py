@@ -3,8 +3,10 @@
 Timing protocol: one warm-up call per case (excluded), then `repeats` rounds
 of one timed call per case on the monotonic clock; the median is reported.
 Cases are timed round-robin, never in parallel, so they don't contend and a
-drift of host speed reaches every case alike.  Each row carries a checksum
-(first element of the last output) so timed work cannot be optimized away.
+drift of host speed reaches every case alike.  Every other round runs in
+reverse, so no case always follows the same neighbour: a heavy call can slow
+the next one.  Each row carries a checksum (first element of the last
+output) so timed work cannot be optimized away.
 """
 
 from __future__ import annotations
@@ -32,14 +34,16 @@ class BenchRow:
 
 def time_cases(cases, repeats: int) -> list[BenchRow]:
     """One BenchRow per (suite, params, method, fn) case, timed round-robin:
-    after a warm-up of each, `repeats` rounds of one call of every case, so
-    the cases a ratio compares see the same host state."""
+    after a warm-up of each, `repeats` rounds of one call of every case, in
+    list order and reversed by turns, so the cases a ratio compares see the
+    same host state."""
     if repeats < 1:
         raise ValueError(f"repeats must be >= 1, got {repeats}")
     outs = [fn() for *_, fn in cases]  # warm-ups, excluded from the medians
     samples = [[] for _ in cases]
-    for _ in range(repeats):
-        for i, (*_, fn) in enumerate(cases):
+    order = list(enumerate(cases))
+    for r in range(repeats):
+        for i, (*_, fn) in order if r % 2 == 0 else order[::-1]:
             start = time.perf_counter()
             outs[i] = fn()
             samples[i].append((time.perf_counter() - start) * 1e3)

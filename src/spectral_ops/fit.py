@@ -23,6 +23,7 @@ forward passes are safe to run concurrently.  Forward-only: no autodiff.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -30,7 +31,7 @@ import numpy as np
 from scipy.special import erf
 
 from . import spectral
-from .errors import ConfigError, InvalidShapeError
+from .errors import ConfigError, InvalidShapeError, require_finite
 from .tensor import Rng, randn, read_tensor, write_tensor
 
 MIXERS = ("fourier", "attention")
@@ -187,10 +188,12 @@ def fourier_mixing(x) -> np.ndarray:
     The two transforms commute, so the axis order is immaterial (tested).
     For real x the 2D spectrum is Hermitian, Y[j, d-k] = conj Y[-j mod S, k],
     so one real half-spectrum (hidden frequencies 0..d//2) gives every column.
+    A NaN or infinity in x raises NonFiniteError: it would reach nearly every output.
     """
     x = np.asarray(x)
     if x.ndim != 2:
         raise InvalidShapeError(f"expected [S, d] input, got rank {x.ndim}")
+    require_finite(x=x)
     s, d = x.shape
     half = spectral.rfft2(x).real
     mirrored = half[-np.arange(s) % s, (d - 1) // 2 : 0 : -1]
@@ -236,7 +239,9 @@ def fit_block(x, block: BlockWeights, mixer: str = "fourier", num_heads: int = 1
 
 
 def fit_forward(image, model: FitModel) -> np.ndarray:
-    """Full forward pass: logits[num_classes] = gelu(W_head . cls + b_head)."""
+    """Full forward pass: logits[num_classes] = gelu(W_head . cls + b_head).
+    A NaN or infinity in the image raises NonFiniteError."""
+    require_finite(image=image)
     cfg = model.config
     x = patch_embed(image, model)
     for block in model.blocks:
@@ -277,8 +282,10 @@ def count_params(config: FitConfig) -> int:
     return total
 
 
-def _layout(config: FitConfig) -> list[tuple[str, tuple[int, ...], int | float]]:
-    """(file name, shape, init) for every model tensor, in file order.
+def _layout(config: FitConfig) -> Iterator[tuple[str, tuple[int, ...], int | float]]:
+    """(file name, shape, init) for every model tensor, in file order, yielded
+    one at a time so that a reader stops at the first missing file whatever
+    depth a manifest claims.
 
     An int init is a fan-in: the tensor is standard-normal divided by its
     square root.  A float init is a constant fill.  Drawn tensors take the
@@ -295,16 +302,14 @@ def _layout(config: FitConfig) -> list[tuple[str, tuple[int, ...], int | float]]
     if config.mixer == "attention":
         for p in "qkvo":
             block += [(f"w_{p}", (d, d), d), (f"b_{p}", (d,), 0.0)]
-    return [
-        ("patch_proj_weight", (d, config.patch_dim), config.patch_dim),
-        ("patch_proj_bias", (d,), 0.0),
-        ("cls_token", (1, d), 1),
-        ("pos_embed", (config.seq_len, d), 0.0),
-        *((f"block{i}.{name}", shape, init)
-          for i in range(config.depth) for name, shape, init in block),
-        ("head_weight", (config.num_classes, d), d),
-        ("head_bias", (config.num_classes,), 0.0),
-    ]
+    yield ("patch_proj_weight", (d, config.patch_dim), config.patch_dim)
+    yield ("patch_proj_bias", (d,), 0.0)
+    yield ("cls_token", (1, d), 1)
+    yield ("pos_embed", (config.seq_len, d), 0.0)
+    for i in range(config.depth):
+        yield from ((f"block{i}.{name}", shape, init) for name, shape, init in block)
+    yield ("head_weight", (config.num_classes, d), d)
+    yield ("head_bias", (config.num_classes,), 0.0)
 
 
 def _slot(model: FitModel, name: str) -> tuple[FitModel | BlockWeights, str]:
@@ -355,20 +360,25 @@ def save_model(model: FitModel, directory) -> None:
         value = getattr(model.config, f.name)
         items = zip(_PAIR_KEYS[f.name], value) if f.name in _PAIR_KEYS else [(f.name, value)]
         lines += [f"{key}={v}" for key, v in items]
-    (directory / _MANIFEST).write_text("\n".join(lines) + "\n")
+    (directory / _MANIFEST).write_text("\n".join(lines) + "\n", encoding="utf-8")
     for name, _, _ in _layout(model.config):
         write_tensor(getattr(*_slot(model, name)), directory / f"{name}.ftns")
 
 
 def load_model(directory) -> FitModel:
     """Read a save_model directory back; a missing or malformed manifest key,
-    a missing tensor file or a shape mismatch raises ConfigError."""
+    a manifest that is not UTF-8, a missing tensor file or a shape mismatch
+    raises ConfigError."""
     directory = Path(directory)
     manifest = directory / _MANIFEST
     if not manifest.is_file():
         raise ConfigError(f"missing manifest: {manifest}")
+    try:
+        text = manifest.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{manifest}: not UTF-8 text: {exc}") from exc
     entries = {}
-    for ln, line in enumerate(manifest.read_text().splitlines(), 1):
+    for ln, line in enumerate(text.splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue

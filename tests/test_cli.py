@@ -71,6 +71,56 @@ class TestVerifyCommand:
         with pytest.raises(KeyError):
             verify.run_suites(["nonsense"])
 
+    def test_inventory_is_pinned(self):
+        # every check, in order, under its suite and at its tolerance: a
+        # dropped, renamed, moved or loosened check changes this list
+        results = verify.run_suites()
+        assert [(r.suite, r.check, r.tol) for r in results] == [
+            ("tensor", "randn-determinism", 0.0),
+            ("tensor", "randn-moments-mean", 0.1),
+            ("tensor", "randn-moments-var", 0.15),
+            ("tensor", "ftns-roundtrip-bit-exact", 0.0),
+            ("spectral", "fft-equals-naive-dft-1..64", 1e-10),
+            ("spectral", "inverse-roundtrip", 1e-12),
+            ("spectral", "linearity", 1e-10),
+            ("spectral", "parseval-relative", 1e-10),
+            ("spectral", "double-transform-reversal", 1e-10),
+            ("spectral", "rfft2-vs-full-and-inverse", 1e-12),
+            ("fftconv", "oracle-equivalence-f64", 1e-10),
+            ("fftconv", "oracle-equivalence-f32", 1e-3),
+            ("fftconv", "convolution-theorem", 1e-10),
+            ("fftconv", "wrap-band-outside-exact", 0.0),
+            ("fftconv", "wrap-band-inside-differs", 1e-6),
+            ("fftconv", "circular-vs-direct", 1e-10),
+            ("fftconv", "correlation-flip-duality", 1e-10),
+            ("fftconv", "bias-adds-exactly", 0.0),
+            ("fit", "fourier-mixing-vs-naive-dft", 1e-10),
+            ("fit", "fourier-mixing-axis-commutation", 1e-10),
+            ("fit", "fourier-mixing-linearity", 1e-10),
+            ("fit", "layer-norm-shift-scale-invariance", 1e-8),
+            ("fit", "attention-convexity", 1e-12),
+            ("fit", "cross-entropy-uniform", 1e-12),
+            ("fit", "param-count-vit-base-style", 0.02),
+            ("fit", "param-count-mixer-gap-exact", 0.0),
+            ("fit", "forward-purity-bit-exact", 0.0),
+            ("ssm", "hippo-three-case-formula", 0.0),
+            ("ssm", "matrix-exp-diagonal", 1e-12),
+            ("ssm", "kernel-vs-per-t-exponential", 1e-8),
+            ("ssm", "causal-conv-vs-direct", 1e-10),
+            ("ssm", "causality-prefix", 1e-12),
+            ("ssm", "negated-kernel-decay", 1e-12),
+            ("gconv", "segment-decay-bound", 0.0),
+            ("gconv", "half-pixel-resize-values", 0.0),
+            ("gconv", "forward-vs-direct-oracle", 1e-10),
+            ("gconv", "forward-linearity", 1e-10),
+            ("gconv", "scale-count-doubling", 0.0),
+        ]
+        assert all(r.passed for r in results)
+        # every check passes by max_err <= tol, but the one that must find a
+        # difference, which passes by max_err > tol
+        inverted = [r.check for r in results if r.max_err > r.tol]
+        assert inverted == ["wrap-band-inside-differs"]
+
 
 class TestBenchCommands:
     def test_conv_csv_shape_and_order(self, tmp_path):

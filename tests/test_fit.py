@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -11,6 +12,7 @@ from spectral_ops import (
     FitConfig,
     FitModel,
     InvalidShapeError,
+    NonFiniteError,
     Rng,
     attention_mixing,
     bench_mixing,
@@ -155,6 +157,14 @@ class TestFourierMixing:
     def test_rejects_complex_input(self):
         with pytest.raises(InvalidShapeError):
             fourier_mixing(np.zeros((2, 2), dtype=complex))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_input(self, value):
+        # one NaN in a 4x6 input would turn 20 of the 24 outputs into NaN
+        x = np.ones((4, 6))
+        x[1, 2] = value
+        with pytest.raises(NonFiniteError, match="^x holds"):
+            fourier_mixing(x)
 
 
 class TestLayerNorm:
@@ -304,6 +314,15 @@ class TestFitForward:
         assert logits.shape == (10,)
         assert np.all(np.isfinite(logits))
 
+    @pytest.mark.parametrize("mixer", ["fourier", "attention"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_image_rejected(self, mixer, value):
+        model = init_fit_model(small_config(mixer=mixer), Rng(29))
+        image = randn(Rng(30), (3, 8, 8))
+        image[2, 5, 1] = value
+        with pytest.raises(NonFiniteError, match="image"):
+            fit_forward(image, model)
+
     def test_purity_bit_exact(self):
         model = init_fit_model(small_config(), Rng(31))
         img = randn(Rng(32), (3, 8, 8))
@@ -447,6 +466,28 @@ class TestModelIo:
         manifest.write_text("\n".join(lines) + "\n")
         with pytest.raises(ConfigError, match=f"manifest.txt: bad value for '{key}'"):
             load_model(tmp_path / "m")
+
+    def test_non_utf8_manifest(self, tmp_path):
+        save_model(init_fit_model(small_config(), Rng(41)), tmp_path / "m")
+        manifest = tmp_path / "m" / "manifest.txt"
+        manifest.write_bytes(manifest.read_bytes().replace(b"mixer=", b"mix\xffr="))
+        with pytest.raises(ConfigError, match="manifest.txt: not UTF-8"):
+            load_model(tmp_path / "m")
+
+    def test_huge_claimed_depth_stops_at_first_missing_file(self, tmp_path):
+        # the manifest claims 10^5 blocks but the directory holds 2: the
+        # reader must stop at block2 without listing the other 10^5 first
+        save_model(init_fit_model(small_config(), Rng(41)), tmp_path / "m")
+        manifest = tmp_path / "m" / "manifest.txt"
+        manifest.write_text(manifest.read_text().replace("depth=2", "depth=100000"))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConfigError, match="missing tensor file: .*block2.gamma1"):
+                load_model(tmp_path / "m")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 << 20
 
     def test_model_directories_are_byte_stable(self, tmp_path):
         # sha256 over the sorted file names and bytes of six saved models,

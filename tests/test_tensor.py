@@ -1,10 +1,24 @@
+import random
 import struct
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from spectral_ops import FormatError, InvalidShapeError, Rng, randn, read_tensor, write_tensor
+from spectral_ops import (
+    ConfigError,
+    FitConfig,
+    FitModel,
+    FormatError,
+    InvalidShapeError,
+    Rng,
+    init_fit_model,
+    load_model,
+    randn,
+    read_tensor,
+    save_model,
+    write_tensor,
+)
 
 
 def test_randn_deterministic_across_instances():
@@ -122,3 +136,57 @@ def test_unknown_dtype_code(tmp_path):
 def test_write_rejects_non_float(tmp_path):
     with pytest.raises(ValueError):
         write_tensor(np.zeros(3, dtype=np.int32), tmp_path / "i.ftns")
+
+
+def _mutate(data: bytes, rng: random.Random, span: int) -> bytes:
+    """One seeded byte mutation within data[:span]: overwrite, insert,
+    delete, or truncate there."""
+    out = bytearray(data)
+    pos = rng.randrange(span)
+    kind = rng.randrange(4)
+    if kind == 0:
+        out[pos] = rng.randrange(256)
+    elif kind == 1:
+        out.insert(pos, rng.randrange(256))
+    elif kind == 2:
+        del out[pos]
+    else:
+        del out[pos:]
+    return bytes(out)
+
+
+def test_mutated_tensor_file_reads_or_raises_format_error(tmp_path):
+    # half of the mutations land in the 34-byte header of a rank-3 file
+    path = tmp_path / "t.ftns"
+    write_tensor(randn(Rng(5), (2, 3, 4), np.float32), path)
+    original = path.read_bytes()
+    rng = random.Random(4321)
+    outcomes = {"tensor": 0, "error": 0}
+    for i in range(400):
+        path.write_bytes(_mutate(original, rng, 34 if i % 2 else len(original)))
+        try:
+            t = read_tensor(path)
+        except FormatError:
+            outcomes["error"] += 1
+        else:
+            assert isinstance(t, np.ndarray) and t.dtype in (np.float32, np.float64)
+            outcomes["tensor"] += 1
+    assert min(outcomes.values()) > 0  # the mutations reach past the first check
+
+
+def test_mutated_manifest_loads_or_raises_config_error(tmp_path):
+    save_model(init_fit_model(FitConfig(img_size=(8, 8), depth=1), Rng(41)), tmp_path)
+    manifest = tmp_path / "manifest.txt"
+    original = manifest.read_bytes()
+    rng = random.Random(1234)
+    outcomes = {"model": 0, "error": 0}
+    for _ in range(300):
+        manifest.write_bytes(_mutate(original, rng, len(original)))
+        try:
+            model = load_model(tmp_path)
+        except (ConfigError, FormatError):
+            outcomes["error"] += 1
+        else:
+            assert isinstance(model, FitModel)
+            outcomes["model"] += 1
+    assert min(outcomes.values()) > 0
