@@ -340,7 +340,8 @@ def init_fit_model(config: FitConfig, rng: Rng) -> FitModel:
         if isinstance(init, float):
             tensors[name] = np.full(shape, init)
         else:
-            tensors[name] = randn(rng, shape) / np.sqrt(init)
+            tensors[name] = randn(rng, shape)
+            tensors[name] /= np.sqrt(init)
     return _assemble(config, tensors)
 
 

@@ -39,11 +39,14 @@ _DTYPE_FOR_CODE = {0: np.dtype("<f4"), 1: np.dtype("<f8")}
 _CODE_FOR_DTYPE = {np.dtype(np.float32): 0, np.dtype(np.float64): 1}
 
 # splitmix64 constants
-_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
+_MASK64 = 2**64 - 1
+_GOLDEN = 0x9E3779B97F4A7C15
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 _S30, _S27, _S31 = np.uint64(30), np.uint64(27), np.uint64(31)
 _S11 = np.uint64(11)
+# Box-Muller pairs per block of Rng.normal, whose scratch is six such arrays (1.5 MB)
+_BLOCK_PAIRS = 2**15
 
 
 def check_shape(shape) -> tuple[int, ...]:
@@ -59,11 +62,18 @@ def check_shape(shape) -> tuple[int, ...]:
     return extents
 
 
-def _mix64(x: np.ndarray) -> np.ndarray:
-    # splitmix64 finalizer, vectorized over uint64 (wrapping arithmetic)
-    x = (x ^ (x >> _S30)) * _MIX1
-    x = (x ^ (x >> _S27)) * _MIX2
-    return x ^ (x >> _S31)
+def _uniform_into(x: np.ndarray, t: np.ndarray, u: np.ndarray) -> None:
+    # u = ((mix64(x) >> 11) + 1) * 2**-53 in (0, 1]: the splitmix64 finalizer
+    # in place on uint64 (wrapping), then the top 53 bits; t is scratch
+    for shift, mult in ((_S30, _MIX1), (_S27, _MIX2)):
+        np.right_shift(x, shift, out=t)
+        x ^= t
+        x *= mult
+    np.right_shift(x, _S31, out=t)
+    x ^= t
+    x >>= _S11
+    np.add(x, 1.0, out=u)
+    u *= 2.0**-53
 
 
 class Rng:
@@ -89,34 +99,45 @@ class Rng:
     All math is IEEE-754 f64, so equal seeds reproduce equal streams across
     platforms; f32 tensors are f64 draws rounded once at the end.
 
+    Any stretch of the stream depends only on its counters, so a draw is
+    computed in blocks of 2**15 pairs with O(block) scratch memory (about
+    1.5 MB) beside its result; the stream is the same as in one pass.
+
     Single-owner: instances are cheap and not meant to be shared between
     threads.
     """
 
     def __init__(self, seed: int):
-        self._seed = np.uint64(seed & 0xFFFFFFFFFFFFFFFF)
+        self._seed = int(seed & _MASK64)
         self._counter = 0
-
-    def _raw(self, n: int) -> np.ndarray:
-        idx = np.arange(self._counter + 1, self._counter + n + 1, dtype=np.uint64)
-        self._counter += n
-        return _mix64(self._seed + idx * _GOLDEN)
 
     def normal(self, n: int) -> np.ndarray:
         """Return the next `n` standard-normal f64 draws."""
         if n < 0:
             raise ValueError(f"sample count must be >= 0, got {n}")
-        if n == 0:
-            return np.empty(0)
         pairs = (n + 1) // 2
-        raw = self._raw(2 * pairs)
-        u = ((raw >> _S11).astype(np.float64) + 1.0) * 2.0**-53
-        radius = np.sqrt(-2.0 * np.log(u[0::2]))
-        theta = (2.0 * np.pi) * u[1::2]
-        out = np.empty(2 * pairs)
-        out[0::2] = radius * np.cos(theta)
-        out[1::2] = radius * np.sin(theta)
-        return out[:n]
+        out = np.empty((pairs, 2))
+        block = min(pairs, _BLOCK_PAIRS)
+        # pair k of a block reads counters c + 2k (u1) and c + 2k + 1 (u2)
+        step = np.arange(block, dtype=np.uint64) * np.uint64(2 * _GOLDEN & _MASK64)
+        x, t = np.empty(block, np.uint64), np.empty(block, np.uint64)
+        radius, theta, tmp = np.empty(block), np.empty(block), np.empty(block)
+        for start in range(0, pairs, _BLOCK_PAIRS):
+            m = min(_BLOCK_PAIRS, pairs - start)
+            c = self._counter + 2 * start + 1
+            for counter, u in ((c, radius), (c + 1, theta)):
+                base = np.uint64((self._seed + counter * _GOLDEN) & _MASK64)
+                np.add(step[:m], base, out=x[:m])
+                _uniform_into(x[:m], t[:m], u[:m])
+            r, th = radius[:m], theta[:m]
+            np.log(r, out=r)
+            r *= -2.0
+            np.sqrt(r, out=r)
+            th *= 2.0 * np.pi
+            np.multiply(r, np.cos(th, out=tmp[:m]), out=out[start:start + m, 0])
+            np.multiply(r, np.sin(th, out=tmp[:m]), out=out[start:start + m, 1])
+        self._counter += 2 * pairs
+        return out.reshape(-1)[:n]
 
 
 def randn(rng: Rng, shape, dtype=np.float64) -> np.ndarray:
@@ -141,10 +162,10 @@ def write_tensor(t, path) -> None:
     code = _CODE_FOR_DTYPE[a.dtype]
     header = _MAGIC + struct.pack("<BBI", _VERSION, code, len(extents))
     header += struct.pack(f"<{len(extents)}Q", *extents)
-    payload = np.ascontiguousarray(a, dtype=_DTYPE_FOR_CODE[code]).tobytes()
+    payload = np.ascontiguousarray(a, dtype=_DTYPE_FOR_CODE[code])
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(payload)
+        fh.write(payload.data)
 
 
 def read_tensor(path) -> np.ndarray:

@@ -1,0 +1,16 @@
+import tempfile
+
+from hypothesis import settings
+from hypothesis.configuration import set_hypothesis_home_dir
+
+# Property tests run the same examples every time and keep no example database.
+settings.register_profile("repeatable", derandomize=True, database=None, deadline=None)
+settings.load_profile("repeatable")
+
+
+def pytest_configure(config):
+    # Hypothesis's other on-disk caches go to a temporary directory removed at
+    # the end of the run, so a test run leaves no .hypothesis/ in the checkout.
+    storage = tempfile.TemporaryDirectory(prefix="hypothesis-")
+    config.add_cleanup(storage.cleanup)
+    set_hypothesis_home_dir(storage.name)

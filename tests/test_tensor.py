@@ -1,9 +1,12 @@
+import hashlib
 import random
 import struct
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spectral_ops import (
     ConfigError,
@@ -42,6 +45,70 @@ def test_randn_sequential_draws_continue_the_stream():
     rng = Rng(9)
     first, second = rng.normal(4), rng.normal(4)
     assert not np.array_equal(first, second)
+
+
+# sha256 of Rng(seed).normal(3 * 2**16 + 5) after a 13-sample draw, captured
+# from the one-shot vectorised generator: the draw crosses block boundaries of
+# the blocked one, and seeds 0 and 2**64 - 1 cover the wrapping counter sum
+@pytest.mark.parametrize("seed, digest", [
+    (1, "206fb1b4b1311df2951fab689baebcc5c0c82eefa15e24d009abcdfbae1009c7"),
+    (0, "f2d44d4de1655e127e5232bbfd8d3d38a029e1ef1e88c5a7e819899790d39aaf"),
+    (2**64 - 1, "9b2ca87d2a99a8eda2ebb95065ac34d67d7e289fd44a234fd451ae9f7438979b"),
+])
+def test_normal_stream_is_pinned_across_blocks(seed, digest):
+    rng = Rng(seed)
+    rng.normal(13)
+    assert hashlib.sha256(rng.normal(3 * 2**16 + 5).tobytes()).hexdigest() == digest
+
+
+def test_normal_first_draws_are_pinned():
+    assert [float(z).hex() for z in Rng(7).normal(4)] == [
+        "0x1.5d70229cdee61p+0", "0x1.27fabdf770e33p-3",
+        "-0x1.960a61872e245p-2", "-0x1.d21e03d25aeaep-3",
+    ]
+
+
+def _reference_normal(seed: int, counter: int, n: int) -> np.ndarray:
+    # the stream's definition in one vectorised shot, with full-length temporaries
+    pairs = (n + 1) // 2
+    idx = np.arange(counter + 1, counter + 2 * pairs + 1, dtype=np.uint64)
+    x = np.uint64(seed % 2**64) + idx * np.uint64(0x9E3779B97F4A7C15)
+    x = (x ^ (x >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    x = (x ^ (x >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    x = x ^ (x >> np.uint64(31))
+    u = ((x >> np.uint64(11)).astype(np.float64) + 1.0) * 2.0**-53
+    radius = np.sqrt(-2.0 * np.log(u[0::2]))
+    theta = (2.0 * np.pi) * u[1::2]
+    out = np.empty(2 * pairs)
+    out[0::2] = radius * np.cos(theta)
+    out[1::2] = radius * np.sin(theta)
+    return out[:n]
+
+
+@settings(max_examples=25)
+@given(
+    seed=st.integers(0, 2**64 - 1),
+    sizes=st.lists(st.integers(0, 70), max_size=4),
+    spanning=st.integers(2 * 2**15 + 1, 5 * 2**15),
+    at=st.integers(0, 4),
+)
+def test_normal_matches_one_shot_reference(seed, sizes, spanning, at):
+    # every sequence holds one draw of more than 2**15 pairs, which crosses a block
+    sizes.insert(at, spanning)
+    rng, counter = Rng(seed), 0
+    for n in sizes:
+        assert np.array_equal(rng.normal(n), _reference_normal(seed, counter, n))
+        counter += 2 * ((n + 1) // 2)
+
+
+def test_normal_scratch_is_block_sized():
+    tracemalloc.start()
+    try:
+        z = Rng(1).normal(10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= z.nbytes + 4 * 2**20
 
 
 def test_randn_rejects_zero_extent():
