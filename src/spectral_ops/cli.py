@@ -70,18 +70,17 @@ def cmd_demo(args) -> int:
     return 0
 
 
+# the FitConfig fields init-model takes as integer options; the pairs are square
+_INIT_FIELDS = ("img_size", "patch_size", "in_chans", "embed_dim", "dim_feedforward",
+                "depth", "num_classes", "num_heads")
+_SQUARE = ("img_size", "patch_size")
+
+
 def cmd_init_model(args) -> int:
-    config = fit.FitConfig(
-        img_size=(args.img_size, args.img_size),
-        patch_size=(args.patch_size, args.patch_size),
-        in_chans=args.in_chans,
-        embed_dim=args.embed_dim,
-        dim_feedforward=args.dim_feedforward,
-        depth=args.depth,
-        num_classes=args.num_classes,
-        num_heads=args.num_heads,
-        mixer=args.mixer,
-    )
+    config = fit.FitConfig(mixer=args.mixer, **{
+        name: (getattr(args, name),) * 2 if name in _SQUARE else getattr(args, name)
+        for name in _INIT_FIELDS
+    })
     seed = args.seed if args.seed is not None else _default_seed()
     rng = Rng(seed)
     model = fit.init_fit_model(config, rng)
@@ -134,15 +133,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_init = sub.add_parser("init-model", help="write a seeded model directory for demo")
     p_init.add_argument("--out", type=Path, required=True)
-    p_init.add_argument("--mixer", choices=fit.MIXERS, default="fourier")
-    p_init.add_argument("--img-size", type=int, default=32)
-    p_init.add_argument("--patch-size", type=int, default=4)
-    p_init.add_argument("--in-chans", type=int, default=3)
-    p_init.add_argument("--embed-dim", type=int, default=64)
-    p_init.add_argument("--dim-feedforward", type=int, default=128)
-    p_init.add_argument("--depth", type=int, default=2)
-    p_init.add_argument("--num-classes", type=int, default=10)
-    p_init.add_argument("--num-heads", type=int, default=4)
+    defaults = fit.FitConfig()
+    p_init.add_argument("--mixer", choices=fit.MIXERS, default=defaults.mixer)
+    for name in _INIT_FIELDS:
+        value = getattr(defaults, name)
+        p_init.add_argument(f"--{name.replace('_', '-')}", type=int,
+                            default=value[0] if name in _SQUARE else value)
     p_init.add_argument("--seed", type=int, default=None, help="default: SPECTRAL_OPS_SEED or 42")
     p_init.add_argument("--sample-input", type=Path, default=None,
                         help="also write a seeded random input image here")

@@ -22,9 +22,11 @@ two disagree about what "the" output is, so both are exposed as modes.
 The FFT route computes correlation as convolution with the index-reversed
 kernel: spectral.linear_fft_conv computes the window each mode keeps of the
 (H+Kh-1, W+Kw-1) support: `full` is all of it, and `same`/`valid` start at
-(Kh//2, Kw//2) and (Kh-1, Kw-1).  Circular mode reverses the folded kernel
-modulo the image extents and convolves at exactly those extents.
-direct_xcorr2d is the O(n^2 m^2) oracle it is verified against.
+(Kh//2, Kw//2) and (Kh-1, Kw-1).  Circular mode is valid mode over the image
+wrap-padded by (Kh-1, Kw-1) on its far sides, which also serves kernels
+larger than the image.  direct_xcorr2d is the O(n^2 m^2) oracle it is
+verified against.  fft_circular_conv2d shows the caveat padding removes: the
+unpadded spectrum product, whose result wraps around.
 """
 
 from __future__ import annotations
@@ -84,8 +86,9 @@ def direct_xcorr2d(image, kernel, bias=None, mode: str = "same") -> np.ndarray:
     c, h, w = img.shape
     _, kh, kw = ker.shape
 
+    dtype = np.result_type(img, ker)
     if mode == "circular":
-        out = np.zeros_like(img)
+        out = np.zeros(img.shape, dtype)
         for i in range(kh):
             for j in range(kw):
                 out += np.roll(img, (-i, -j), axis=(1, 2)) * ker[:, i, j, None, None]
@@ -106,7 +109,7 @@ def direct_xcorr2d(image, kernel, bias=None, mode: str = "same") -> np.ndarray:
     padded = np.zeros((c, h + pt + pad_bottom, w + pl + pad_right), dtype=img.dtype)
     padded[:, pt : pt + h, pl : pl + w] = img
 
-    out = np.zeros((c, oh, ow), dtype=img.dtype)
+    out = np.zeros((c, oh, ow), dtype)
     for i in range(kh):
         for j in range(kw):
             out += padded[:, i : i + oh, j : j + ow] * ker[:, i, j, None, None]
@@ -134,12 +137,11 @@ def _fold_mod(kernel, h: int, w: int) -> np.ndarray:
 def fft_xcorr2d(image, kernel, bias=None, mode: str = "same") -> np.ndarray:
     """Cross-correlation as an FFT convolution with the flipped kernel."""
     img, ker = _check_operands(image, kernel, bias, mode)
-    _, h, w = img.shape
     _, kh, kw = ker.shape
-
     if mode == "circular":
-        flipped = np.roll(_fold_mod(ker, h, w)[:, ::-1, ::-1], 1, axis=(1, 2))
-        return _add_bias(fft_circular_conv2d(img, flipped), bias)
+        img = np.pad(img, ((0, 0), (0, kh - 1), (0, kw - 1)), mode="wrap")
+        mode = "valid"
+    _, h, w = img.shape
 
     if mode == "full":
         crop = None
@@ -159,18 +161,10 @@ def fft_circular_conv2d(image, kernel) -> np.ndarray:
     Accepts [H, W] or [C, H, W] operands; a smaller kernel is zero-padded
     (larger: folded modulo the image extents) before transforming.
     """
-    img = np.asarray(image)
-    ker = np.asarray(kernel)
-    squeeze = img.ndim == 2
+    squeeze = np.ndim(image) == np.ndim(kernel) == 2
     if squeeze:
-        if ker.ndim != 2:
-            raise InvalidShapeError("rank-2 image needs a rank-2 kernel")
-        img, ker = img[None], ker[None]
-    if img.ndim != 3 or ker.ndim != 3 or img.shape[0] != ker.shape[0]:
-        raise InvalidShapeError(
-            f"expected matching [C, H, W] / [C, Kh, Kw] operands, got "
-            f"{np.asarray(image).shape} and {np.asarray(kernel).shape}"
-        )
+        image, kernel = np.asarray(image)[None], np.asarray(kernel)[None]
+    img, ker = _check_operands(image, kernel, None, "circular")
     h, w = img.shape[1:]
     out = spectral.irfft2(
         spectral.rfft2(img) * spectral.rfft2(_fold_mod(ker, h, w)), (h, w)

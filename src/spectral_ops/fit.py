@@ -23,6 +23,7 @@ forward passes are safe to run concurrently.  Forward-only: no autodiff.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterator
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -262,24 +263,8 @@ def cross_entropy(logits, label: int) -> float:
 
 
 def count_params(config: FitConfig) -> int:
-    """Exact learnable-scalar count for the configured model.
-
-    Per block: two norms (2d each), ff d->dff and dense dff->d with biases,
-    plus 4(d^2 + d) for the Q/K/V/O projections when the mixer is attention
-    (the fourier mixer contributes zero).  The embedding norm has no
-    learnable parameters.
-    """
-    d = config.embed_dim
-    dff = config.dim_feedforward
-    total = d * config.patch_dim + d  # patch projection
-    total += d  # cls token
-    total += config.seq_len * d  # positional table
-    block = 2 * (2 * d) + d * dff + dff + dff * d + d
-    if config.mixer == "attention":
-        block += 4 * (d * d + d)
-    total += config.depth * block
-    total += config.num_classes * d + config.num_classes  # head
-    return total
+    """Exact learnable-scalar count: the sizes of every tensor in _layout(config)."""
+    return sum(math.prod(shape) for _, shape, _ in _layout(config))
 
 
 def _layout(config: FitConfig) -> Iterator[tuple[str, tuple[int, ...], int | float]]:

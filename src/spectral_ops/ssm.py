@@ -108,8 +108,10 @@ def ssm_kernel(params: SsmParams, L: int) -> SsmKernel:
     values[t] = (C . (e^A)^{jb}) . ((e^A)^k B): b matvecs give the columns
     (e^A)^k B, ceil(L/b) vector-matrix products against (e^A)^b give the
     rows C . (e^A)^{jb}, and one matrix product of the two gives every
-    value (unit time step).  A non-finite value, such as the `as_written`
-    overflow at long L, raises ConfigError.
+    value (unit time step).  A or B of the wrong shape raises
+    InvalidShapeError, a NaN or infinity in A, B or C raises NonFiniteError,
+    and a non-finite value, such as the `as_written` overflow at long L,
+    raises ConfigError.
 
     The result is kept on `params`, keyed by the values of A, B, C and L (see
     _slot.Slot), so a repeat call with unchanged parameters returns it;
@@ -127,12 +129,18 @@ def ssm_kernel(params: SsmParams, L: int) -> SsmKernel:
 
 
 def _blocked_kernel(params: SsmParams, c: np.ndarray, L: int) -> SsmKernel:
-    step = matrix_exp(params.A)
+    n = params.N
+    a, b = np.asarray(params.A), np.asarray(params.B, dtype=np.float64)
+    if a.shape != (n, n) or b.shape != (n,):
+        raise InvalidShapeError(f"A and B must have shapes [{n}, {n}] and [{n}], "
+                                f"got {a.shape} and {b.shape}")
+    require_finite(A=a, B=b, C=c)
+    step = matrix_exp(a)
     block = math.isqrt(L)
     cols = np.empty((params.N, block))
     rows = np.empty((-(-L // block), params.N))
     with np.errstate(over="ignore", invalid="ignore"):
-        state = np.asarray(params.B, dtype=np.float64)
+        state = b
         for k in range(block):
             cols[:, k] = state
             state = step @ state

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import spectral_ops
-from spectral_ops import bench, fftconv, gconv, ssm, verify
+from spectral_ops import bench, fftconv, fit, gconv, ssm, verify
 from spectral_ops.cli import main
 
 # absolute, so children started with cwd=tmp_path still find the package
@@ -260,6 +260,10 @@ class TestModelCommands:
                      "--input", str(tmp_path / "img.ftns")])
         assert code == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_init_model_defaults_are_fit_config_defaults(self, tmp_path):
+        assert main(["init-model", "--out", str(tmp_path / "m")]) == 0
+        assert fit.load_model(tmp_path / "m").config == fit.FitConfig()
 
     def test_init_model_rejects_bad_geometry(self, capsys):
         code = main(["init-model", "--out", "unused", "--img-size", "10",

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spectral_ops import (
     InvalidShapeError,
@@ -149,6 +151,42 @@ def test_non_finite_operand_rejected(operand, value):
             op(args["image"], args["kernel"], bias=args["bias"])
 
 
+FLOATS = (np.float32, np.float64)
+
+
+@st.composite
+def xcorr_cases(draw):
+    """(mode, image shape, kernel shape); only valid mode keeps the kernel
+    inside the image, so the others, circular among them, draw larger ones."""
+    mode = draw(st.sampled_from(MODES))
+    c, h, w = draw(st.integers(1, 3)), draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    kh, kw = (draw(st.integers(1, n if mode == "valid" else 2 * n + 3)) for n in (h, w))
+    return mode, (c, h, w), (c, kh, kw)
+
+
+@settings(max_examples=80)
+@given(case=xcorr_cases(), dtype=st.sampled_from(FLOATS), seed=st.integers(0, 2**32 - 1))
+def test_fft_matches_direct_on_random_shapes(case, dtype, seed):
+    mode, img_shape, ker_shape = case
+    rng = Rng(seed)
+    img, ker = randn(rng, img_shape, dtype), randn(rng, ker_shape, dtype)
+    got = fft_xcorr2d(img, ker, mode=mode)
+    want = direct_xcorr2d(img, ker, mode=mode)
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= (1e-3 if dtype == np.float32 else 1e-10)
+
+
+@pytest.mark.parametrize("img_dtype", FLOATS)
+@pytest.mark.parametrize("ker_dtype", FLOATS)
+@settings(max_examples=20)
+@given(case=xcorr_cases())
+def test_output_dtype_is_the_operands_result_type(img_dtype, ker_dtype, case):
+    mode, img_shape, ker_shape = case
+    img, ker = np.ones(img_shape, img_dtype), np.ones(ker_shape, ker_dtype)
+    for op in (direct_xcorr2d, fft_xcorr2d):
+        assert op(img, ker, mode=mode).dtype == np.result_type(img_dtype, ker_dtype), op
+
+
 # --- circular convolution ----------------------------------------------------
 
 
@@ -197,6 +235,16 @@ def test_circular_kernel_larger_than_image_folds():
 def test_circular_rank_mismatch_rejected():
     with pytest.raises(InvalidShapeError):
         fft_circular_conv2d(np.zeros((4, 4)), np.zeros((1, 3, 3)))
+
+
+@pytest.mark.parametrize("rank", [2, 3])
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+@pytest.mark.parametrize("operand", ["image", "kernel"])
+def test_circular_non_finite_operand_rejected(operand, value, rank):
+    args = {"image": np.ones((2, 4, 4)[3 - rank:]), "kernel": np.ones((2, 3, 3)[3 - rank:])}
+    args[operand][(0,) * rank] = value
+    with pytest.raises(NonFiniteError, match=operand):
+        fft_circular_conv2d(args["image"], args["kernel"])
 
 
 # --- linear vs circular ------------------------------------------------------

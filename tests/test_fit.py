@@ -534,5 +534,5 @@ class TestBenchMixing:
         t = {(r.params, r.method): r.median_ms for r in rows}
         attention_growth = t[("S=2048 d=64", "attention")] / t[("S=512 d=64", "attention")]
         fourier_growth = t[("S=2048 d=64", "fourier")] / t[("S=512 d=64", "fourier")]
-        assert attention_growth >= 8.0
-        assert fourier_growth <= 8.0
+        assert attention_growth >= 8.0, t
+        assert fourier_growth <= 8.0, t

@@ -270,6 +270,11 @@ def _xcorr_224_31():
         fft_xcorr2d(img, ker, mode=mode)
 
 
+def _circular_xcorr_224_31():
+    rng = Rng(14)
+    fft_xcorr2d(randn(rng, (1, 224, 224)), randn(rng, (1, 31, 31)), mode="circular")
+
+
 def _causal_16384():
     rng = Rng(15)
     causal_fft_conv(randn(rng, (16384,)), randn(rng, (16384,)))
@@ -310,10 +315,12 @@ def _record_seam_lengths(monkeypatch):
     return calls
 
 
-# linear supports 254 = 2*127, 32767 = 7*31*151 and 49150 = 2*5^2*983; the
-# kept windows need 254/239/224 (full/same/valid), 32767 and 32767
+# linear supports 254 = 2*127, 284 = 4*71 (circular: valid mode over the image
+# wrap-padded to 254), 32767 = 7*31*151 and 49150 = 2*5^2*983; the kept
+# windows need 254/239/224 (full/same/valid), 254, 32767 and 32767
 @pytest.mark.parametrize("run,support", [
-    (_xcorr_224_31, 254), (_causal_16384, 32767), (_bidirectional_gconv_16384, 49150),
+    (_xcorr_224_31, 254), (_circular_xcorr_224_31, 284), (_causal_16384, 32767),
+    (_bidirectional_gconv_16384, 49150),
 ])
 def test_padded_transform_lengths_are_five_smooth(monkeypatch, run, support):
     calls = _record_seam_lengths(monkeypatch)

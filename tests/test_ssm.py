@@ -139,6 +139,24 @@ class TestSsmKernel:
         with pytest.raises(InvalidShapeError):
             ssm_kernel(params, 0)
 
+    @pytest.mark.parametrize("operand,shape", [("A", (5, 5)), ("A", (4, 5)), ("A", (16,)),
+                                               ("B", (5,)), ("B", (4, 1))])
+    def test_wrong_a_or_b_shape_rejected(self, operand, shape):
+        params = hippo_legs(4)
+        params.C = np.ones(4)
+        setattr(params, operand, np.ones(shape))
+        with pytest.raises(InvalidShapeError, match="A and B"):
+            ssm_kernel(params, 8)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("operand", ["A", "B", "C"])
+    def test_non_finite_a_b_or_c_rejected(self, operand, value):
+        params = hippo_legs(4)
+        params.C = np.ones(4)
+        getattr(params, operand)[-1] = value
+        with pytest.raises(NonFiniteError, match=f"^{operand} "):
+            ssm_kernel(params, 8)
+
     @pytest.mark.filterwarnings("error")  # the ConfigError is the only signal
     def test_overflow_raises_naming_first_non_finite_t(self):
         params = hippo_legs(4, "as_written")
