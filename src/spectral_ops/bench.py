@@ -1,12 +1,11 @@
 """Microbenchmark sweeps of the ops, with their timed medians and CSV rows.
 
-Timing protocol: one warm-up call per case (excluded), then `repeats` rounds
-of one timed call per case on the monotonic clock; the median is reported.
-Cases are timed round-robin, never in parallel, so they don't contend and a
-drift of host speed reaches every case alike.  Every other round runs in
-reverse, so no case always follows the same neighbour: a heavy call can slow
-the next one.  Each row carries a checksum (first element of the last
-output) so timed work cannot be optimized away.
+Timing protocol: `repeats` rounds over the cases in list order, never in
+parallel; a sample is an untimed call of a case and at once its timed call
+(monotonic clock), so no timed call pays for a heavier case before it.  The
+sweeps list their cases method by method, so the cases a ratio compares run
+side by side and see the same host state.  Rows report the median and carry a
+checksum (first element of the last output): timed work cannot be elided.
 """
 
 from __future__ import annotations
@@ -30,26 +29,25 @@ class BenchRow:
     median_ms: float
     repeats: int
     checksum: float
+    samples_ms: tuple[float, ...] = ()  # the timed calls in round order; not in the CSV
 
 
 def time_cases(cases, repeats: int) -> list[BenchRow]:
-    """One BenchRow per (suite, params, method, fn) case, timed round-robin:
-    after a warm-up of each, `repeats` rounds of one call of every case, in
-    list order and reversed by turns, so the cases a ratio compares see the
-    same host state."""
+    """One BenchRow per (suite, params, method, fn) case: `repeats` rounds in
+    list order, each sample an untimed call of a case and then its timed call."""
     if repeats < 1:
         raise ValueError(f"repeats must be >= 1, got {repeats}")
-    outs = [fn() for *_, fn in cases]  # warm-ups, excluded from the medians
     samples = [[] for _ in cases]
-    order = list(enumerate(cases))
-    for r in range(repeats):
-        for i, (*_, fn) in order if r % 2 == 0 else order[::-1]:
+    outs = [None] * len(cases)
+    for _ in range(repeats):
+        for i, (*_, fn) in enumerate(cases):
+            fn()
             start = time.perf_counter()
             outs[i] = fn()
             samples[i].append((time.perf_counter() - start) * 1e3)
     return [
         BenchRow(suite, params, method, float(np.median(times)), repeats,
-                 float(np.asarray(out).flat[0]))
+                 float(np.asarray(out).flat[0]), tuple(times))
         for (suite, params, method, _), times, out in zip(cases, samples, outs)
     ]
 
@@ -65,12 +63,12 @@ def write_csv(rows, fh) -> None:
 
 
 def bench_seq(seq_lens, repeats: int = 5, seed: int = 42):
-    """Time ssm_kernel and bidirectional gconv_forward at each length L.
+    """Time ssm_kernel at each length L, then bidirectional gconv_forward.
 
     The layers are sized like one long-sequence model layer: a HiPPO-LegS
     state of 64 with a seeded readout, and a gconv of width 32 and depth 8
     on a seeded [L, 8] f64 signal, so every L must be at least 32.  Each
-    timed call gets its own dataclasses.replace copy of the parameters, whose
+    call gets its own dataclasses.replace copy of the parameters, whose
     kernel cache starts empty, so every row times a first call.
     """
     rng = Rng(seed)
@@ -80,19 +78,18 @@ def bench_seq(seq_lens, repeats: int = 5, seed: int = 42):
         width=32, depth=8, base_kernel=randn(rng, (32, 8)), bidirectional=True,
         bias=randn(rng, (8,)),
     )
-    cases = []
-    for L in seq_lens:
-        signal = randn(rng, (L, 8))
-        cases += [
-            ("seq", f"L={L}", "ssm_kernel", lambda L=L: ssm.ssm_kernel(replace(ssm_params), L).values),
-            ("seq", f"L={L}", "gconv_forward",
-             lambda s=signal: gconv.gconv_forward(s, replace(gconv_params))),
-        ]
-    return time_cases(cases, repeats)
+    signals = [randn(rng, (L, 8)) for L in seq_lens]
+    return time_cases(
+        [("seq", f"L={L}", "ssm_kernel", lambda L=L: ssm.ssm_kernel(replace(ssm_params), L).values)
+         for L in seq_lens]
+        + [("seq", f"L={L}", "gconv_forward", lambda s=s: gconv.gconv_forward(s, replace(gconv_params)))
+           for L, s in zip(seq_lens, signals)],
+        repeats,
+    )
 
 
 def bench_conv(image_sizes, kernel_sizes, repeats: int = 5, dtype=np.float32, seed: int = 42):
-    """Time direct vs FFT same-mode correlation over an (n, m) grid.
+    """Time every direct, then every FFT, same-mode correlation over an (n, m) grid.
 
     Returns one BenchRow per (n, m, method).  Runs a small-case equality
     guard before any timing so a broken path can never produce timings.
@@ -109,31 +106,31 @@ def bench_conv(image_sizes, kernel_sizes, repeats: int = 5, dtype=np.float32, se
         raise RuntimeError(f"conv guard failed: max |fft - direct| = {guard_diff}")
 
     rng = Rng(seed)
-    cases = []
-    for n in image_sizes:
-        for m in kernel_sizes:
-            img = randn(rng, (1, n, n), dtype)
-            ker = randn(rng, (1, m, m), dtype)
-            for method, fn in (("direct", fftconv.direct_xcorr2d), ("fft", fftconv.fft_xcorr2d)):
-                cases.append(("conv", f"n={n} m={m}", method,
-                              lambda fn=fn, img=img, ker=ker: fn(img, ker, mode="same")))
-    return time_cases(cases, repeats)
+    grid = [(f"n={n} m={m}", randn(rng, (1, n, n), dtype), randn(rng, (1, m, m), dtype))
+            for n in image_sizes for m in kernel_sizes]
+    return time_cases(
+        [("conv", params, method, lambda fn=fn, img=img, ker=ker: fn(img, ker, mode="same"))
+         for method, fn in (("direct", fftconv.direct_xcorr2d), ("fft", fftconv.fft_xcorr2d))
+         for params, img, ker in grid],
+        repeats,
+    )
 
 
 def bench_mixing(seq_lens, d: int, repeats: int = 5, seed: int = 42):
-    """Time fourier_mixing vs attention_mixing on [S, d] f32 inputs."""
+    """Time fourier_mixing on [S, d] f32 inputs at every S, then attention_mixing."""
     num_heads = 4 if d % 4 == 0 else 1
     rng = Rng(seed)
-    cases = []
+    inputs = []
     for s in seq_lens:
         x = randn(rng, (s, d), np.float32)
         block = fit.BlockWeights()
         for p in "qkvo":
             setattr(block, f"w_{p}", randn(rng, (d, d), np.float32) / np.float32(np.sqrt(d)))
             setattr(block, f"b_{p}", np.zeros(d, dtype=np.float32))
-        cases += [
-            ("mixing", f"S={s} d={d}", "fourier", lambda x=x: fit.fourier_mixing(x)),
-            ("mixing", f"S={s} d={d}", "attention",
-             lambda x=x, b=block: fit.attention_mixing(x, b, num_heads)),
-        ]
-    return time_cases(cases, repeats)
+        inputs.append((f"S={s} d={d}", x, block))
+    return time_cases(
+        [("mixing", params, "fourier", lambda x=x: fit.fourier_mixing(x)) for params, x, _ in inputs]
+        + [("mixing", params, "attention", lambda x=x, b=block: fit.attention_mixing(x, b, num_heads))
+           for params, x, block in inputs],
+        repeats,
+    )

@@ -23,13 +23,17 @@ def _default_seed() -> int:
     return int(os.environ.get("SPECTRAL_OPS_SEED", "42"))
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)  # argparse reports a ValueError as a usage error
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
 def _int_list(text: str) -> list[int]:
-    try:
-        values = [int(part) for part in text.split(",") if part]
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from exc
-    if not values or any(v < 1 for v in values):
-        raise argparse.ArgumentTypeError(f"sizes must be positive integers, got {text!r}")
+    values = [_positive_int(part) for part in text.split(",") if part]
+    if not values:
+        raise argparse.ArgumentTypeError(f"expected comma-separated positive integers, got {text!r}")
     return values
 
 
@@ -108,7 +112,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_bench.set_defaults(func=cmd_bench)
     bench_sub = p_bench.add_subparsers(dest="bench_kind", required=True)
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--repeats", type=int, default=5)
+    common.add_argument("--repeats", type=_positive_int, default=5)
     common.add_argument("--out", type=Path, default=None)
 
     p_conv = bench_sub.add_parser("conv", parents=[common],
@@ -119,7 +123,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_mix = bench_sub.add_parser("mixing", parents=[common],
                                  help="fourier vs attention token mixing")
     p_mix.add_argument("--seq-lens", type=_int_list, required=True)
-    p_mix.add_argument("--dim", type=int, required=True)
+    p_mix.add_argument("--dim", type=_positive_int, required=True)
 
     p_seq = bench_sub.add_parser("seq", parents=[common],
                                  help="ssm_kernel and bidirectional gconv_forward")

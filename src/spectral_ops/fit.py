@@ -29,7 +29,7 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
-from scipy.special import erf
+from scipy.special import erf, log_softmax, softmax as _scipy_softmax
 
 from . import spectral
 from .errors import ConfigError, InvalidShapeError, require_finite
@@ -140,10 +140,7 @@ def gelu(x) -> np.ndarray:
 
 
 def softmax(z, axis: int = -1) -> np.ndarray:
-    z = np.asarray(z)
-    shifted = z - z.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=axis, keepdims=True)
+    return _scipy_softmax(z, axis=axis)
 
 
 def layer_norm(x, gamma, beta, eps: float = 1e-12) -> np.ndarray:
@@ -258,8 +255,7 @@ def cross_entropy(logits, label: int) -> float:
         raise InvalidShapeError(f"logits must be rank-1, got rank {z.ndim}")
     if not 0 <= label < z.shape[0]:
         raise ValueError(f"label {label} out of range for {z.shape[0]} classes")
-    shifted = z - z.max()
-    return float(np.log(np.exp(shifted).sum()) - shifted[label])
+    return float(-log_softmax(z)[label])
 
 
 def count_params(config: FitConfig) -> int:

@@ -76,6 +76,18 @@ def direct_gconv(signal, kernel) -> np.ndarray:
     return out
 
 
+def three_case_hippo_legs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """HiPPO-LegS (A, B) as written, not negated, one entry at a time:
+    A[i,j] = sqrt(2i+1) sqrt(2j+1) if i > j, i + 1 if i = j, 0 if i < j;
+    B[i] = sqrt(2i+1)."""
+    a, b = np.zeros((n, n)), np.zeros(n)
+    for i in range(n):
+        b[i] = np.sqrt(2 * i + 1)
+        for j in range(i + 1):
+            a[i, j] = b[i] * np.sqrt(2 * j + 1) if i > j else i + 1.0
+    return a, b
+
+
 def per_t_ssm_kernel(params, L: int) -> np.ndarray:
     """K[t] = C . e^{tA} . B with a fresh matrix exponential for every t."""
     from scipy.linalg import expm  # lazy: keeps scipy.linalg out of `import spectral_ops`

@@ -40,7 +40,6 @@ class SsmParams:
     A: np.ndarray
     B: np.ndarray
     C: np.ndarray | None = None
-    sign_convention: str = "negated"
     _kernel: Slot = field(default_factory=Slot, init=False, repr=False, compare=False)
 
 
@@ -87,7 +86,7 @@ def hippo_legs(n: int, sign_convention: str = "negated") -> SsmParams:
     a = np.tril(np.outer(root, root), -1) + np.diag(idx + 1.0)
     if sign_convention == "negated":
         a = -a
-    return SsmParams(N=n, A=a, B=root.copy(), C=None, sign_convention=sign_convention)
+    return SsmParams(N=n, A=a, B=root.copy(), C=None)
 
 
 def matrix_exp(m) -> np.ndarray:

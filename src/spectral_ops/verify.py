@@ -246,19 +246,10 @@ def _suite_ssm() -> Iterator[tuple]:
 
     formula_err = 0.0
     for n in (1, 2, 4, 8):
-        params = ssm.hippo_legs(n, "as_written")
-        for i in range(n):
-            for j in range(n):
-                if i > j:
-                    want = math.sqrt(2 * i + 1) * math.sqrt(2 * j + 1)
-                elif i == j:
-                    want = i + 1.0
-                else:
-                    want = 0.0
-                formula_err = max(formula_err, abs(params.A[i, j] - want))
-            formula_err = max(formula_err, abs(params.B[i] - math.sqrt(2 * i + 1)))
-        negated = ssm.hippo_legs(n, "negated")
-        formula_err = max(formula_err, _maxabs(negated.A + params.A))
+        want_a, want_b = oracles.three_case_hippo_legs(n)
+        params, negated = ssm.hippo_legs(n, "as_written"), ssm.hippo_legs(n, "negated")
+        formula_err = max(formula_err, _maxabs(params.A - want_a), _maxabs(params.B - want_b),
+                          _maxabs(negated.A + want_a))
     yield "hippo-three-case-formula", formula_err, 0.0
 
     diag = ssm.matrix_exp(np.diag([1.0, 2.0]))

@@ -150,8 +150,8 @@ def test_06_uniform_cross_entropy():
 
 def test_07_timing_trends():
     start = time.perf_counter()
-    rows = bench_conv([256], [3, 31], repeats=3)
-    t = {(r.params, r.method): r.median_ms for r in rows}
+    ratio_rows = bench_conv([256], [3, 31], repeats=3)
+    t = {(r.params, r.method): r.median_ms for r in ratio_rows}
     direct_ratio = t[("n=256 m=31", "direct")] / t[("n=256 m=3", "direct")]
     fft_ratio = t[("n=256 m=31", "fft")] / t[("n=256 m=3", "fft")]
 
@@ -160,14 +160,18 @@ def test_07_timing_trends():
     crossover = t["fft"] < t["direct"]
 
     rows = bench_mixing([4096], 256, repeats=3)
+    ratio_rows += rows
     t = {r.method: r.median_ms for r in rows}
     mixing_ratio = t["attention"] / t["fourier"]
 
     elapsed = time.perf_counter() - start
     ok = direct_ratio >= 10.0 and fft_ratio <= 1.5 and crossover and mixing_ratio >= 3.0 and elapsed < 300.0
+    samples = "; ".join(f"{r.params} {r.method} " + " ".join(f"{ms:.2f}" for ms in r.samples_ms)
+                        for r in ratio_rows)
     _check(7, "timing trends", ok,
            f"direct m31/m3 {direct_ratio:.1f} (>=10), fft {fft_ratio:.2f} (<=1.5), "
-           f"fft<direct at n=224 {crossover}, fourier speedup {mixing_ratio:.1f}x (>=3), {elapsed:.0f}s")
+           f"fft<direct at n=224 {crossover}, fourier speedup {mixing_ratio:.1f}x (>=3), {elapsed:.0f}s; "
+           f"samples ms: {samples}")
 
 
 def test_08_ssm_formulas():

@@ -167,14 +167,14 @@ class TestBenchCommands:
         assert {r[2] for r in rows} == {"ssm_kernel", "gconv_forward"}
 
     def test_seq_times_first_calls(self, monkeypatch):
-        # every call, warm-ups included, builds its kernel: no cache hit is timed
+        # every call, untimed ones included, builds its kernel: no cache hit is timed
         calls = []
         for module, name in ((ssm, "matrix_exp"), (gconv, "build_kernel")):
             real = getattr(module, name)
             monkeypatch.setattr(module, name,
                                 lambda *a, real=real, name=name: calls.append(name) or real(*a))
         bench.bench_seq([32], repeats=2)
-        assert sorted(calls) == ["build_kernel"] * 3 + ["matrix_exp"] * 3
+        assert sorted(calls) == ["build_kernel"] * 4 + ["matrix_exp"] * 4
 
     def test_conv_guard_raises_under_optimize(self, monkeypatch, capsys):
         # a RuntimeError, unlike an assert, survives python -O
@@ -193,6 +193,16 @@ class TestBenchCommands:
     def test_malformed_size_list_is_usage_error(self):
         proc = run_cli("bench", "conv", "--image-sizes", "8,x", "--kernel-sizes", "3")
         assert proc.returncode == 2
+
+    @pytest.mark.parametrize("args", [
+        ["conv", "--image-sizes", "8", "--kernel-sizes", "3", "--repeats", "0"],
+        ["mixing", "--seq-lens", "8", "--dim", "0"],
+    ])
+    def test_non_positive_count_is_usage_error(self, args, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", *args])
+        assert exc.value.code == 2
+        assert "expected a positive integer" in capsys.readouterr().err
 
     def test_unwritable_out_is_runtime_error(self, tmp_path, capsys):
         missing = tmp_path / "absent" / "rows.csv"

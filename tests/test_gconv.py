@@ -2,6 +2,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from spectral_ops import (
     ConfigError,
@@ -189,6 +191,23 @@ def test_forward_L1_bidirectional():
     sig = np.array([[3.0, 5.0]])
     # single tap on both sides: y = (k_f[0] + k_b[0]) * u
     assert np.allclose(gconv_forward(sig, params), [[12.0, -10.0]], atol=1e-12)
+
+
+@settings(max_examples=60)
+@given(L=st.integers(1, 40), width=st.integers(1, 40), depth=st.integers(1, 3),
+       bidirectional=st.booleans(), with_bias=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_forward_matches_direct_on_random_geometry(L, width, depth, bidirectional, with_bias, seed):
+    # build_kernel refuses a width above L, or one whose scales cannot cover L
+    assume(width <= L and (L == 1 or width * (2 ** scale_count(L) - 1) >= L))
+    rng = Rng(seed)
+    params = GConvParams(width=width, depth=depth, base_kernel=randn(rng, (width, depth)),
+                         bidirectional=bidirectional,
+                         bias=randn(rng, (depth,)) if with_bias else None)
+    sig = randn(rng, (L, depth))
+    want = direct_gconv(sig, build_kernel(params, L))
+    if with_bias:
+        want = want + params.bias
+    assert np.max(np.abs(gconv_forward(sig, params) - want)) <= 1e-10
 
 
 def test_forward_linear_in_signal():

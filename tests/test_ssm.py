@@ -4,6 +4,8 @@ from dataclasses import FrozenInstanceError, replace
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spectral_ops import (
     ConfigError,
@@ -18,7 +20,7 @@ from spectral_ops import (
     ssm,
     ssm_kernel,
 )
-from spectral_ops.oracles import direct_causal_conv, per_t_ssm_kernel
+from spectral_ops.oracles import direct_causal_conv, per_t_ssm_kernel, three_case_hippo_legs
 
 
 class TestHippoLegs:
@@ -34,16 +36,9 @@ class TestHippoLegs:
 
     def test_n4_three_case_formula(self):
         params = hippo_legs(4, "as_written")
-        for n in range(4):
-            for k in range(4):
-                if n > k:
-                    expected = math.sqrt(2 * n + 1) * math.sqrt(2 * k + 1)
-                elif n == k:
-                    expected = n + 1.0
-                else:
-                    expected = 0.0
-                assert params.A[n, k] == expected
-            assert params.B[n] == math.sqrt(2 * n + 1)
+        a, b = three_case_hippo_legs(4)
+        assert np.array_equal(params.A, a)
+        assert np.array_equal(params.B, b)
 
     def test_negated_flips_sign(self):
         a = hippo_legs(5, "as_written").A
@@ -322,3 +317,19 @@ def test_non_finite_operand_rejected(operand, value, wrap):
     {"kernel": k, "signal": u}[operand].flat[3] = value
     with pytest.raises(NonFiniteError, match=operand):
         causal_fft_conv(wrap(k), u)
+
+
+@pytest.mark.parametrize("wrap", [np.asarray, lambda k: SsmKernel(values=k)])
+@settings(max_examples=40)
+@given(L=st.integers(1, 48), lead=st.lists(st.integers(1, 3), max_size=2),
+       seed=st.integers(0, 2**32 - 1))
+def test_causal_conv_matches_direct_on_random_shapes(wrap, L, lead, seed):
+    rng = Rng(seed)
+    k, u, v = randn(rng, (L,)), randn(rng, (*lead, L)), randn(rng, (*lead, L))
+    kernel = wrap(k)
+    y = causal_fft_conv(kernel, u)
+    want = np.apply_along_axis(lambda row: direct_causal_conv(k, row), -1, u)
+    assert y.shape == u.shape
+    assert np.max(np.abs(y - want)) <= 1e-10
+    lin = causal_fft_conv(kernel, 2.0 * u - 3.0 * v) - (2.0 * y - 3.0 * causal_fft_conv(kernel, v))
+    assert np.max(np.abs(lin)) <= 1e-10
