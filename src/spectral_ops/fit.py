@@ -29,7 +29,6 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
-from scipy.special import erf, log_softmax, softmax as _scipy_softmax
 
 from . import spectral
 from .errors import ConfigError, InvalidShapeError, require_finite
@@ -133,14 +132,20 @@ class FitModel:
 
 
 def gelu(x) -> np.ndarray:
-    """Exact-erf GELU: x * Phi(x) (no tanh approximation)."""
+    """Exact-erf GELU: x * Phi(x) (no tanh approximation).
+    `scipy.special` loads at the first call, not with `import spectral_ops`."""
+    from scipy.special import erf
+
     x = np.asarray(x)
     # sqrt(2) in x's float dtype: an f64 scalar would turn f32 input into f64
     return 0.5 * x * (1.0 + erf(x / np.sqrt(2.0, dtype=np.result_type(x, 1.0))))
 
 
 def softmax(z, axis: int = -1) -> np.ndarray:
-    return _scipy_softmax(z, axis=axis)
+    """`scipy.special.softmax`, loaded at the first call as in `gelu`."""
+    from scipy import special
+
+    return special.softmax(z, axis=axis)
 
 
 def layer_norm(x, gamma, beta, eps: float = 1e-12) -> np.ndarray:
@@ -249,7 +254,10 @@ def fit_forward(image, model: FitModel) -> np.ndarray:
 
 
 def cross_entropy(logits, label: int) -> float:
-    """-log softmax(logits)[label], stabilized by max subtraction."""
+    """-log softmax(logits)[label], stabilized by max subtraction
+    (`scipy.special.log_softmax`, loaded at the first call as in `gelu`)."""
+    from scipy.special import log_softmax
+
     z = np.asarray(logits, dtype=np.float64)
     if z.ndim != 1:
         raise InvalidShapeError(f"logits must be rank-1, got rank {z.ndim}")

@@ -156,10 +156,10 @@ def randn(rng: Rng, shape, dtype=np.float64) -> np.ndarray:
 def write_tensor(t, path) -> None:
     """Write a float32/float64 array to `path` in the FTNS format."""
     a = np.asarray(t)
-    if a.dtype not in _CODE_FOR_DTYPE:
+    code = _CODE_FOR_DTYPE.get(a.dtype.newbyteorder("="))  # ">f8" is float64 too
+    if code is None:
         raise ValueError(f"FTNS stores float32/float64 tensors only, got dtype {a.dtype}")
     extents = check_shape(a.shape)
-    code = _CODE_FOR_DTYPE[a.dtype]
     header = _MAGIC + struct.pack("<BBI", _VERSION, code, len(extents))
     header += struct.pack(f"<{len(extents)}Q", *extents)
     payload = np.ascontiguousarray(a, dtype=_DTYPE_FOR_CODE[code])

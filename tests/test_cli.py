@@ -213,16 +213,26 @@ class TestBenchCommands:
 
 
 class TestImport:
-    def test_bare_import_loads_no_heavy_scipy_modules(self):
+    # Each case runs in a fresh process and prints every loaded scipy module.
+    SCIPY_MODULES = "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+
+    def run_fresh(self, code):
         proc = subprocess.run(
-            [sys.executable, "-c",
-             "import sys, spectral_ops; "
-             "print(sorted(m for m in ('scipy.fft', 'scipy.linalg', 'scipy.signal') "
-             "if m in sys.modules))"],
+            [sys.executable, "-c", f"{code}; {self.SCIPY_MODULES}"],
             capture_output=True, text=True, env=child_env(),
         )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "[]"
+        return proc.stdout.strip().splitlines()[-1]
+
+    def test_bare_import_loads_no_heavy_scipy_modules(self):
+        assert self.run_fresh("import sys, spectral_ops") == "[]"
+
+    def test_init_model_loads_no_scipy_module(self, tmp_path):
+        args = ["init-model", "--out", str(tmp_path / "model"), *SMALL_MODEL,
+                "--sample-input", str(tmp_path / "img.ftns")]
+        code = f"import sys; from spectral_ops import cli; cli.main({args!r})"
+        assert self.run_fresh(code) == "[]"
+        assert (tmp_path / "img.ftns").exists()
 
 
 class TestModelCommands:

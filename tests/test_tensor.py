@@ -205,6 +205,25 @@ def test_write_rejects_non_float(tmp_path):
         write_tensor(np.zeros(3, dtype=np.int32), tmp_path / "i.ftns")
 
 
+@pytest.mark.parametrize("dtype", [">f4", ">f8"])
+def test_byte_swapped_floats_write_as_native(tmp_path, dtype):
+    swapped = (np.arange(6.0).reshape(2, 3) - 2.5).astype(dtype)
+    assert swapped.dtype.str == dtype  # arithmetic would have made it native
+    native = swapped.astype(swapped.dtype.newbyteorder("="))
+    write_tensor(swapped, tmp_path / "swapped.ftns")
+    write_tensor(native, tmp_path / "native.ftns")
+    assert (tmp_path / "swapped.ftns").read_bytes() == (tmp_path / "native.ftns").read_bytes()
+    back = read_tensor(tmp_path / "swapped.ftns")
+    assert back.dtype == native.dtype
+    np.testing.assert_array_equal(back, swapped)
+
+
+def test_write_rejects_float16(tmp_path):
+    for dtype in ("<f2", ">f2"):
+        with pytest.raises(ValueError, match="float32/float64"):
+            write_tensor(np.zeros(3, dtype=dtype), tmp_path / "h.ftns")
+
+
 def _mutate(data: bytes, rng: random.Random, span: int) -> bytes:
     """One seeded byte mutation within data[:span]: overwrite, insert,
     delete, or truncate there."""
