@@ -3,7 +3,8 @@ demo forward passes over FTNS inputs.
 
 Exit codes: 0 success, 1 runtime/I-O failure (including failed verification),
 2 usage error.  `SPECTRAL_OPS_SEED` overrides the default seed (42) used by
-`init-model` and the benchmark data generators.
+`init-model` and the benchmark data generators; a value that is not an
+integer is a usage error.
 """
 
 from __future__ import annotations
@@ -20,7 +21,12 @@ from .tensor import Rng, randn, read_tensor, write_tensor
 
 
 def _default_seed() -> int:
-    return int(os.environ.get("SPECTRAL_OPS_SEED", "42"))
+    text = os.environ.get("SPECTRAL_OPS_SEED", "42")
+    try:
+        return int(text)
+    except ValueError:
+        message = f"SPECTRAL_OPS_SEED must be an integer, got {text!r}"
+        raise argparse.ArgumentTypeError(message) from None
 
 
 def _positive_int(text: str) -> int:
@@ -154,6 +160,9 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
+    except argparse.ArgumentTypeError as exc:  # a malformed SPECTRAL_OPS_SEED
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except (OSError, ValueError, KeyError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

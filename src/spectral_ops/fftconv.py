@@ -23,9 +23,9 @@ The FFT route computes correlation as convolution with the index-reversed
 kernel: spectral.linear_fft_conv computes the window each mode keeps of the
 (H+Kh-1, W+Kw-1) support: `full` is all of it, and `same`/`valid` start at
 (Kh//2, Kw//2) and (Kh-1, Kw-1).  Circular mode is valid mode over the image
-wrap-padded by (Kh-1, Kw-1) on its far sides, which also serves kernels
-larger than the image.  direct_xcorr2d is the O(n^2 m^2) oracle it is
-verified against.  fft_circular_conv2d shows the caveat padding removes: the
+wrap-padded by (Kh-1, Kw-1) on its far sides, after a kernel larger than the
+image is folded modulo the image extents.  direct_xcorr2d is the O(n^2 m^2)
+oracle it is verified against.  fft_circular_conv2d shows the caveat padding removes: the
 unpadded spectrum product, whose result wraps around.
 """
 
@@ -139,6 +139,9 @@ def fft_xcorr2d(image, kernel, bias=None, mode: str = "same") -> np.ndarray:
     img, ker = _check_operands(image, kernel, bias, mode)
     _, kh, kw = ker.shape
     if mode == "circular":
+        # fold a kernel larger than the image first, so each pad stays below its extent
+        ker = _fold_mod(ker, min(kh, img.shape[1]), min(kw, img.shape[2]))
+        _, kh, kw = ker.shape
         img = np.pad(img, ((0, 0), (0, kh - 1), (0, kw - 1)), mode="wrap")
         mode = "valid"
     _, h, w = img.shape

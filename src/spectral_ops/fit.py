@@ -19,6 +19,20 @@ standard transformer residual):
 Every linear layer stores its weight as [out_features, in_features] and
 applies x @ W.T + b.  All ops are pure functions over immutable weights;
 forward passes are safe to run concurrently.  Forward-only: no autodiff.
+
+The logits read only the CLS row (row 0), and every op after the mixer is
+row-local, so fit_forward runs the last block on row 0 alone.  For the
+Fourier mixer this is exact because row 0 of the sequence DFT matrix F_S is
+all ones: row 0 of Re(F_S x F_d) is Re(F_d(sum of x's rows)), which is
+fourier_mixing of the [1, d] column sum.  The attention mixer still mixes
+every row and keeps row 0 of its output.  The logits then differ from the
+all-rows forward only in rounding (about 3e-15 at the ViT-Base config).
+
+The ops run their elementwise chains in place, but an op writes only into
+arrays allocated within its own call (its temporaries and the fresh
+matmul or library results it receives), never into an input or a weight.
+It writes in place only where that keeps the result dtype, so no output
+dtype changes: f32 in, f32 out; f64 in, f64 out; an f32/f64 mix gives f64.
 """
 
 from __future__ import annotations
@@ -137,8 +151,15 @@ def gelu(x) -> np.ndarray:
     from scipy.special import erf
 
     x = np.asarray(x)
-    # sqrt(2) in x's float dtype: an f64 scalar would turn f32 input into f64
-    return 0.5 * x * (1.0 + erf(x / np.sqrt(2.0, dtype=np.result_type(x, 1.0))))
+    # sqrt(2) in x's float dtype: an f64 scalar would turn f32 input into f64;
+    # asarray keeps a 0-d quotient an array that out= can write to
+    t = np.asarray(x / np.sqrt(2.0, dtype=np.result_type(x, 1.0)))
+    # in place for f32 and f64; erf takes f16 up to f64, so that result needs its own array
+    t = erf(t, out=t) if t.dtype in (np.float32, np.float64) else erf(t)
+    t += 1.0
+    t *= 0.5  # exact, so (t * 0.5) * x rounds as (0.5 * x) * t did, and cannot overflow
+    t *= x
+    return t[()]  # a scalar for a scalar x
 
 
 def softmax(z, axis: int = -1) -> np.ndarray:
@@ -153,9 +174,19 @@ def layer_norm(x, gamma, beta, eps: float = 1e-12) -> np.ndarray:
     if eps <= 0:
         raise ValueError(f"eps must be positive, got {eps}")
     x = np.asarray(x)
-    mean = x.mean(axis=-1, keepdims=True)
-    var = x.var(axis=-1, keepdims=True)
-    return (x - mean) / np.sqrt(var + eps) * np.asarray(gamma) + np.asarray(beta)
+    centred = x - x.mean(axis=-1, keepdims=True)
+    centred /= np.sqrt(np.square(centred).mean(axis=-1, keepdims=True) + eps)
+    return _into(np.add, _into(np.multiply, centred, gamma), beta)
+
+
+def _into(ufunc, a: np.ndarray, b) -> np.ndarray:
+    """ufunc(a, b), written into `a` when that gives the same dtype and shape.
+    `a` must be an array the caller allocated itself (a temporary or a fresh
+    matmul result), never an input or a weight."""
+    b = np.asarray(b)
+    if np.result_type(a, b) == a.dtype and np.broadcast_shapes(a.shape, b.shape) == a.shape:
+        return ufunc(a, b, out=a)
+    return ufunc(a, b)
 
 
 def patch_embed(image, model: FitModel) -> np.ndarray:
@@ -226,8 +257,8 @@ def attention_mixing(x, block: BlockWeights, num_heads: int, return_weights: boo
 
 def feed_forward(x, block: BlockWeights) -> np.ndarray:
     """dense(gelu(ff(x))): d -> dim_feedforward -> d with exact-erf GELU."""
-    hidden = gelu(np.asarray(x) @ block.w_ff.T + block.b_ff)
-    return hidden @ block.w_dense.T + block.b_dense
+    hidden = gelu(_into(np.add, np.asarray(x) @ block.w_ff.T, block.b_ff))
+    return _into(np.add, hidden @ block.w_dense.T, block.b_dense)
 
 
 def fit_block(x, block: BlockWeights, mixer: str = "fourier", num_heads: int = 1) -> np.ndarray:
@@ -235,22 +266,33 @@ def fit_block(x, block: BlockWeights, mixer: str = "fourier", num_heads: int = 1
     if mixer not in MIXERS:
         raise ConfigError(f"mixer must be one of {MIXERS}, got {mixer!r}")
     mixed = fourier_mixing(x) if mixer == "fourier" else attention_mixing(x, block, num_heads)
-    x1 = layer_norm(mixed + x, block.gamma1, block.beta1)
-    h = feed_forward(x1, block)
+    return _block_tail(x, mixed, block)
+
+
+def _block_tail(x, mixed: np.ndarray, block: BlockWeights) -> np.ndarray:
+    """The row-local rest of a block after its mixer: LN1, FF, residual, LN2."""
+    h = feed_forward(layer_norm(mixed + x, block.gamma1, block.beta1), block)
     # second residual adds the mixer output itself (reference wiring)
-    return layer_norm(h + mixed, block.gamma2, block.beta2)
+    return layer_norm(_into(np.add, h, mixed), block.gamma2, block.beta2)
 
 
 def fit_forward(image, model: FitModel) -> np.ndarray:
     """Full forward pass: logits[num_classes] = gelu(W_head . cls + b_head).
+    The last block computes the CLS row only (see the module docstring).
     A NaN or infinity in the image raises NonFiniteError."""
     require_finite(image=image)
     cfg = model.config
     x = patch_embed(image, model)
-    for block in model.blocks:
+    for block in model.blocks[:-1]:
         x = fit_block(x, block, cfg.mixer, cfg.num_heads)
-    cls = x[0]
-    return gelu(cls @ model.head_weight.T + model.head_bias)
+    if model.blocks:
+        last = model.blocks[-1]
+        if cfg.mixer == "fourier":  # row 0 of F_S is all ones
+            mixed = fourier_mixing(x.sum(axis=0, keepdims=True))
+        else:
+            mixed = attention_mixing(x, last, cfg.num_heads)[:1]
+        x = _block_tail(x[:1], mixed, last)
+    return gelu(x[0] @ model.head_weight.T + model.head_bias)
 
 
 def cross_entropy(logits, label: int) -> float:

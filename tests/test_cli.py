@@ -204,6 +204,13 @@ class TestBenchCommands:
         assert exc.value.code == 2
         assert "expected a positive integer" in capsys.readouterr().err
 
+    def test_non_integer_seed_env_is_usage_error(self, monkeypatch, capsys):
+        monkeypatch.setenv("SPECTRAL_OPS_SEED", "abc")
+        assert main(["bench", "seq", "--seq-lens", "32", "--repeats", "1"]) == 2
+        captured = capsys.readouterr()
+        assert "SPECTRAL_OPS_SEED" in captured.err
+        assert captured.out == ""
+
     def test_unwritable_out_is_runtime_error(self, tmp_path, capsys):
         missing = tmp_path / "absent" / "rows.csv"
         code = main(["bench", "mixing", "--seq-lens", "8", "--dim", "4",
@@ -274,6 +281,13 @@ class TestModelCommands:
         default = (tmp_path / "default" / "head_weight.ftns").read_bytes()
         assert by_env == by_flag
         assert by_env != default  # seed 7 vs default 42
+
+    def test_non_integer_seed_env_is_usage_error(self, tmp_path):
+        proc = run_cli("init-model", "--out", "m", *SMALL_MODEL,
+                       env_extra={"SPECTRAL_OPS_SEED": "abc"}, cwd=tmp_path)
+        assert proc.returncode == 2
+        assert "SPECTRAL_OPS_SEED" in proc.stderr
+        assert not (tmp_path / "m").exists()
 
     def test_demo_missing_model_is_runtime_error(self, tmp_path, capsys):
         code = main(["demo", "--model", str(tmp_path / "void"),

@@ -369,6 +369,146 @@ def test_f32_model_and_image_give_f32_logits(mixer):
     assert np.max(np.abs(got - want)) <= 1e-3
 
 
+def _arrays(obj):
+    """(owner, name, array) for an array itself, or every array a block or model holds."""
+    if isinstance(obj, np.ndarray):
+        return [(obj, None, obj)]
+    return [(owner, name, value) for owner in [obj, *getattr(obj, "blocks", [])]
+            for name, value in vars(owner).items() if isinstance(value, np.ndarray)]
+
+
+def _all_rows_forward(image, model):
+    """fit_forward as the plain composition: every block on every row."""
+    cfg = model.config
+    x = patch_embed(image, model)
+    for block in model.blocks:
+        x = fit_block(x, block, cfg.mixer, cfg.num_heads)
+    return gelu(x[0] @ model.head_weight.T + model.head_bias)
+
+
+def _randomized_model(mixer, depth, seed):
+    """A small model whose zero- and one-filled tensors (biases, norm scales
+    and shifts, positional table) are random too, so every term is exercised."""
+    model = init_fit_model(small_config(mixer=mixer, depth=depth), Rng(seed))
+    rng = Rng(seed + 1)
+    for owner, name, value in _arrays(model):
+        if value.ndim == 1 or name == "pos_embed":
+            setattr(owner, name, randn(rng, value.shape))
+    return model
+
+
+class TestClsShortcut:
+    # fit_forward runs the last block on the CLS row only; the logits must
+    # equal the all-rows composition up to rounding.
+    @pytest.mark.parametrize("mixer", ["fourier", "attention"])
+    @pytest.mark.parametrize("depth", [0, 1, 2, 3])
+    def test_equals_all_rows_composition_f64(self, mixer, depth):
+        model = _randomized_model(mixer, depth, 60 + depth)
+        image = randn(Rng(70 + depth), (3, 8, 8))
+        got = fit_forward(image, model)
+        assert got.shape == (10,) and got.dtype == np.float64
+        assert np.max(np.abs(got - _all_rows_forward(image, model))) <= 1e-12
+
+    @pytest.mark.parametrize("mixer", ["fourier", "attention"])
+    @pytest.mark.parametrize("depth", [1, 3])
+    def test_equals_all_rows_composition_f32(self, mixer, depth):
+        model = _as_f32(_randomized_model(mixer, depth, 80 + depth))
+        model.blocks = [_as_f32(block) for block in model.blocks]
+        image = randn(Rng(90 + depth), (3, 8, 8)).astype(np.float32)
+        got = fit_forward(image, model)
+        assert got.dtype == np.float32
+        assert np.max(np.abs(got - _all_rows_forward(image, model))) <= 1e-3
+
+    # The attention mixer does not check its input, so only the Fourier mixer
+    # raises for a non-finite value that reaches it.
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_non_cls_row_entering_last_block_raises(self, value):
+        model = _randomized_model("fourier", 1, 100)
+        model.pos_embed[3, 5] = value  # patch_embed's LayerNorm turns row 3 into NaN
+        with np.errstate(invalid="ignore"), pytest.raises(NonFiniteError):
+            fit_forward(randn(Rng(101), (3, 8, 8)), model)
+
+    def test_non_finite_from_an_earlier_block_raises(self):
+        model = _randomized_model("fourier", 2, 102)
+        model.blocks[0].b_dense[3] = np.inf
+        with np.errstate(invalid="ignore"), pytest.raises(NonFiniteError):
+            fit_forward(randn(Rng(103), (3, 8, 8)), model)
+
+
+def _snapshot(*objects):
+    return [(owner, name, value.copy()) for obj in objects for owner, name, value in _arrays(obj)]
+
+
+def _assert_unchanged(snapshot):
+    for owner, name, before in snapshot:
+        now = owner if name is None else getattr(owner, name)
+        assert now.dtype == before.dtype and np.array_equal(now, before), name
+
+
+def _mixed(obj, matrix_dtype, vector_dtype):
+    """Cast a block's or model's vectors (biases, norm scales and shifts) to
+    `vector_dtype` and its other arrays to `matrix_dtype`."""
+    for owner, name, value in _arrays(obj):
+        setattr(owner, name, value.astype(vector_dtype if value.ndim == 1 else matrix_dtype))
+    return obj
+
+
+MIXED_DTYPES = [(np.float32, np.float64), (np.float64, np.float32)]
+
+
+class TestDtypeContractAndNoMutation:
+    # The ops run their elementwise chains in place on arrays they allocated;
+    # an f64 operand must still promote an f32 chain, and nothing the caller
+    # passed may change.
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_gelu(self, dtype):
+        x = randn(Rng(110), (4, 6)).astype(dtype)
+        snap = _snapshot(x)
+        assert gelu(x).dtype == dtype
+        _assert_unchanged(snap)
+        scalar = gelu(dtype(0.5))
+        assert not isinstance(scalar, np.ndarray) and np.asarray(scalar).dtype == dtype
+        assert np.isscalar(gelu(0.5))
+
+    @pytest.mark.parametrize("x_dtype,param_dtype", MIXED_DTYPES)
+    def test_layer_norm(self, x_dtype, param_dtype):
+        rng = Rng(111)
+        x = randn(rng, (5, 8)).astype(x_dtype)
+        gamma, beta = randn(rng, (8,)).astype(param_dtype), randn(rng, (8,)).astype(param_dtype)
+        snap = _snapshot(x, gamma, beta)
+        assert layer_norm(x, gamma, beta).dtype == np.result_type(x, gamma, beta)
+        _assert_unchanged(snap)
+
+    @pytest.mark.parametrize("x_dtype,param_dtype", MIXED_DTYPES)
+    def test_feed_forward(self, x_dtype, param_dtype):
+        block = _mixed(_randomized_model("fourier", 1, 112).blocks[0], x_dtype, param_dtype)
+        x = randn(Rng(113), (5, 16)).astype(x_dtype)
+        snap = _snapshot(x, block)
+        want = np.result_type(x, block.w_ff, block.b_ff, block.w_dense, block.b_dense)
+        assert feed_forward(x, block).dtype == want
+        _assert_unchanged(snap)
+
+    @pytest.mark.parametrize("mixer", ["fourier", "attention"])
+    @pytest.mark.parametrize("x_dtype,param_dtype", MIXED_DTYPES)
+    def test_fit_block(self, mixer, x_dtype, param_dtype):
+        block = _mixed(_randomized_model(mixer, 1, 114).blocks[0], x_dtype, param_dtype)
+        x = randn(Rng(115), (5, 16)).astype(x_dtype)
+        snap = _snapshot(x, block)
+        out = fit_block(x, block, mixer, num_heads=4)
+        assert out.dtype == np.result_type(x, *(a for _, _, a in _arrays(block)))
+        _assert_unchanged(snap)
+
+    @pytest.mark.parametrize("mixer", ["fourier", "attention"])
+    @pytest.mark.parametrize("x_dtype,param_dtype", MIXED_DTYPES)
+    def test_fit_forward(self, mixer, x_dtype, param_dtype):
+        model = _mixed(_randomized_model(mixer, 2, 116), x_dtype, param_dtype)
+        image = randn(Rng(117), (3, 8, 8)).astype(x_dtype)
+        snap = _snapshot(image, model)
+        logits = fit_forward(image, model)
+        assert logits.dtype == np.result_type(image, *(a for _, _, a in _arrays(model)))
+        _assert_unchanged(snap)
+
+
 class TestCrossEntropy:
     def test_uniform_logits_give_log_m(self):
         assert abs(cross_entropy(np.zeros(10), 7) - math.log(10)) <= 1e-12
