@@ -33,7 +33,6 @@ from .fit import (
     load_model,
     patch_embed,
     save_model,
-    softmax,
 )
 from .gconv import (
     GConvParams,
@@ -64,7 +63,7 @@ __all__ = [
     "BlockWeights", "FitConfig", "FitModel", "attention_mixing",
     "count_params", "cross_entropy", "feed_forward", "fit_block", "fit_forward",
     "fourier_mixing", "gelu", "init_fit_model", "layer_norm", "load_model",
-    "patch_embed", "save_model", "softmax",
+    "patch_embed", "save_model",
     "GConvParams", "bilinear_resize_1d", "build_kernel", "gconv_forward", "scale_count",
     "dft_naive", "PreparedConv", "fft_axis", "irfft2", "linear_fft_conv", "prepare_conv", "rfft2",
     "SsmKernel", "SsmParams", "causal_fft_conv", "hippo_legs", "matrix_exp", "ssm_kernel",

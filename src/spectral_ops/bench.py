@@ -88,8 +88,8 @@ def bench_seq(seq_lens, repeats: int = 5, seed: int = 42):
     )
 
 
-def bench_conv(image_sizes, kernel_sizes, repeats: int = 5, dtype=np.float32, seed: int = 42):
-    """Time every direct, then every FFT, same-mode correlation over an (n, m) grid.
+def bench_conv(image_sizes, kernel_sizes, repeats: int = 5, seed: int = 42):
+    """Time every direct, then every FFT, same-mode f32 correlation over an (n, m) grid.
 
     Returns one BenchRow per (n, m, method).  Runs a small-case equality
     guard before any timing so a broken path can never produce timings.
@@ -106,7 +106,7 @@ def bench_conv(image_sizes, kernel_sizes, repeats: int = 5, dtype=np.float32, se
         raise RuntimeError(f"conv guard failed: max |fft - direct| = {guard_diff}")
 
     rng = Rng(seed)
-    grid = [(f"n={n} m={m}", randn(rng, (1, n, n), dtype), randn(rng, (1, m, m), dtype))
+    grid = [(f"n={n} m={m}", randn(rng, (1, n, n), np.float32), randn(rng, (1, m, m), np.float32))
             for n in image_sizes for m in kernel_sizes]
     return time_cases(
         [("conv", params, method, lambda fn=fn, img=img, ker=ker: fn(img, ker, mode="same"))

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -80,16 +81,15 @@ def cmd_demo(args) -> int:
     return 0
 
 
-# the FitConfig fields init-model takes as integer options; the pairs are square
-_INIT_FIELDS = ("img_size", "patch_size", "in_chans", "embed_dim", "dim_feedforward",
-                "depth", "num_classes", "num_heads")
-_SQUARE = ("img_size", "patch_size")
+# init-model's int options: {FitConfig field: square}; the tuple fields are square sizes
+_INIT_FIELDS = {f.name: isinstance(f.default, tuple) for f in fields(fit.FitConfig)
+                if type(f.default) in (int, tuple)}
 
 
 def cmd_init_model(args) -> int:
     config = fit.FitConfig(mixer=args.mixer, **{
-        name: (getattr(args, name),) * 2 if name in _SQUARE else getattr(args, name)
-        for name in _INIT_FIELDS
+        name: (getattr(args, name),) * 2 if square else getattr(args, name)
+        for name, square in _INIT_FIELDS.items()
     })
     seed = args.seed if args.seed is not None else _default_seed()
     rng = Rng(seed)
@@ -145,10 +145,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p_init.add_argument("--out", type=Path, required=True)
     defaults = fit.FitConfig()
     p_init.add_argument("--mixer", choices=fit.MIXERS, default=defaults.mixer)
-    for name in _INIT_FIELDS:
+    for name, square in _INIT_FIELDS.items():
         value = getattr(defaults, name)
         p_init.add_argument(f"--{name.replace('_', '-')}", type=int,
-                            default=value[0] if name in _SQUARE else value)
+                            default=value[0] if square else value)
     p_init.add_argument("--seed", type=int, default=None, help="default: SPECTRAL_OPS_SEED or 42")
     p_init.add_argument("--sample-input", type=Path, default=None,
                         help="also write a seeded random input image here")

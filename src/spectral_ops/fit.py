@@ -162,20 +162,12 @@ def gelu(x) -> np.ndarray:
     return t[()]  # a scalar for a scalar x
 
 
-def softmax(z, axis: int = -1) -> np.ndarray:
-    """`scipy.special.softmax`, loaded at the first call as in `gelu`."""
-    from scipy import special
-
-    return special.softmax(z, axis=axis)
-
-
-def layer_norm(x, gamma, beta, eps: float = 1e-12) -> np.ndarray:
-    """Normalize over the last axis with population (1/d) variance."""
-    if eps <= 0:
-        raise ValueError(f"eps must be positive, got {eps}")
+def layer_norm(x, gamma, beta) -> np.ndarray:
+    """Normalize over the last axis with population (1/d) variance, plus a
+    fixed eps of 1e-12 under the square root."""
     x = np.asarray(x)
     centred = x - x.mean(axis=-1, keepdims=True)
-    centred /= np.sqrt(np.square(centred).mean(axis=-1, keepdims=True) + eps)
+    centred /= np.sqrt(np.square(centred).mean(axis=-1, keepdims=True) + 1e-12)
     return _into(np.add, _into(np.multiply, centred, gamma), beta)
 
 
@@ -235,8 +227,15 @@ def fourier_mixing(x) -> np.ndarray:
 
 
 def attention_mixing(x, block: BlockWeights, num_heads: int, return_weights: bool = False):
-    """Multi-head self-attention: softmax(Q K^T / sqrt(d_k)) V, concat, W_O."""
+    """Multi-head self-attention: softmax(Q K^T / sqrt(d_k)) V, concat, W_O.
+    A NaN or infinity in x raises NonFiniteError, as in `fourier_mixing`.
+    `scipy.special` loads at the first call, as in `gelu`."""
+    from scipy.special import softmax
+
     x = np.asarray(x)
+    if x.ndim != 2:
+        raise InvalidShapeError(f"expected [S, d] input, got rank {x.ndim}")
+    require_finite(x=x)
     s, d = x.shape
     if d % num_heads:
         raise ConfigError(f"embed_dim {d} not divisible by num_heads {num_heads}")

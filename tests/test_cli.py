@@ -1,4 +1,5 @@
 import csv
+import importlib.util
 import os
 import subprocess
 import sys
@@ -304,3 +305,17 @@ class TestModelCommands:
                      "--patch-size", "4"])
         assert code == 1
         assert "error:" in capsys.readouterr().err
+
+
+def test_perfbench_traced_names_exist():
+    # perfbench's traced run wraps these functions by name; a removed or
+    # renamed one would crash it, so every target must stay a callable attribute
+    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                        "perfbench", "tracer.py")
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    for module, names in tracer.LAYER_TARGETS.items():
+        for name in names:
+            target = getattr(importlib.import_module(f"spectral_ops.{module}"), name, None)
+            assert callable(target), f"{module}.{name}"

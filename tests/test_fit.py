@@ -195,10 +195,6 @@ class TestLayerNorm:
             out = layer_norm(a * x + c, np.ones(16), np.zeros(16))
             assert np.max(np.abs(out - base)) <= 1e-8
 
-    def test_rejects_nonpositive_eps(self):
-        with pytest.raises(ValueError):
-            layer_norm(np.zeros((2, 4)), np.ones(4), np.zeros(4), eps=0.0)
-
 
 class TestFeedForward:
     def test_gelu_fixed_points(self):
@@ -264,6 +260,18 @@ class TestAttention:
     def test_rejects_indivisible_heads(self):
         with pytest.raises(ConfigError):
             attention_mixing(randn(Rng(22), (2, 6)), attention_block(Rng(23), 6), 4)
+
+    @pytest.mark.parametrize("shape", [(2, 5, 16), (16,)])
+    def test_rejects_bad_rank(self, shape):
+        with pytest.raises(InvalidShapeError):
+            attention_mixing(np.zeros(shape), attention_block(Rng(23), 16), 4)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_input(self, value):
+        x = randn(Rng(22), (4, 8))
+        x[1, 2] = value
+        with pytest.raises(NonFiniteError, match="^x holds"):
+            attention_mixing(x, attention_block(Rng(23), 8), 2)
 
 
 class TestFitBlock:
@@ -419,8 +427,8 @@ class TestClsShortcut:
         assert got.dtype == np.float32
         assert np.max(np.abs(got - _all_rows_forward(image, model))) <= 1e-3
 
-    # The attention mixer does not check its input, so only the Fourier mixer
-    # raises for a non-finite value that reaches it.
+    # Both mixers check their input, so a non-finite value that reaches a
+    # mixer raises instead of turning the logits into NaN.
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_non_finite_non_cls_row_entering_last_block_raises(self, value):
         model = _randomized_model("fourier", 1, 100)
@@ -433,6 +441,19 @@ class TestClsShortcut:
         model.blocks[0].b_dense[3] = np.inf
         with np.errstate(invalid="ignore"), pytest.raises(NonFiniteError):
             fit_forward(randn(Rng(103), (3, 8, 8)), model)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_attention_non_finite_position_raises(self, value):
+        model = _randomized_model("attention", 2, 104)
+        model.pos_embed[3, 5] = value
+        with np.errstate(invalid="ignore"), pytest.raises(NonFiniteError):
+            fit_forward(randn(Rng(105), (3, 8, 8)), model)
+
+    def test_attention_non_finite_from_an_earlier_block_raises(self):
+        model = _randomized_model("attention", 2, 106)
+        model.blocks[0].b_dense[3] = np.inf
+        with np.errstate(invalid="ignore"), pytest.raises(NonFiniteError):
+            fit_forward(randn(Rng(107), (3, 8, 8)), model)
 
 
 def _snapshot(*objects):
