@@ -23,12 +23,14 @@ The payload length must equal ``itemsize * product(extents)`` exactly.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import struct
 
 import numpy as np
 
+from ._pair import run_pair
 from .errors import FormatError, InvalidShapeError
 
 _MAGIC = b"FTNS"
@@ -45,7 +47,7 @@ _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 _S30, _S27, _S31 = np.uint64(30), np.uint64(27), np.uint64(31)
 _S11 = np.uint64(11)
-# Box-Muller pairs per block of Rng.normal, whose scratch is six such arrays (1.5 MB)
+# Box-Muller pairs per block of Rng.normal, whose scratch is six such arrays (1.5 MB) per thread
 _BLOCK_PAIRS = 2**15
 
 
@@ -101,10 +103,13 @@ class Rng:
 
     Any stretch of the stream depends only on its counters, so a draw is
     computed in blocks of 2**15 pairs with O(block) scratch memory (about
-    1.5 MB) beside its result; the stream is the same as in one pass.
+    1.5 MB per thread) beside its result; the stream is the same as in one
+    pass.  A draw of more than one block deals alternate blocks to a
+    short-lived second thread, joined before the call returns, and advances
+    the counter once after both finish.
 
     Single-owner: instances are cheap and not meant to be shared between
-    threads.
+    threads; the second thread of a draw never touches the instance.
     """
 
     def __init__(self, seed: int):
@@ -120,24 +125,36 @@ class Rng:
         block = min(pairs, _BLOCK_PAIRS)
         # pair k of a block reads counters c + 2k (u1) and c + 2k + 1 (u2)
         step = np.arange(block, dtype=np.uint64) * np.uint64(2 * _GOLDEN & _MASK64)
-        x, t = np.empty(block, np.uint64), np.empty(block, np.uint64)
-        radius, theta, tmp = np.empty(block), np.empty(block), np.empty(block)
-        for start in range(0, pairs, _BLOCK_PAIRS):
-            m = min(_BLOCK_PAIRS, pairs - start)
-            c = self._counter + 2 * start + 1
-            for counter, u in ((c, radius), (c + 1, theta)):
-                base = np.uint64((self._seed + counter * _GOLDEN) & _MASK64)
-                np.add(step[:m], base, out=x[:m])
-                _uniform_into(x[:m], t[:m], u[:m])
-            r, th = radius[:m], theta[:m]
-            np.log(r, out=r)
-            r *= -2.0
-            np.sqrt(r, out=r)
-            th *= 2.0 * np.pi
-            np.multiply(r, np.cos(th, out=tmp[:m]), out=out[start:start + m, 0])
-            np.multiply(r, np.sin(th, out=tmp[:m]), out=out[start:start + m, 1])
+        starts = range(0, pairs, _BLOCK_PAIRS)
+        fill = functools.partial(_normal_blocks, out, step, self._seed, self._counter)
+        if len(starts) > 1:  # alternate blocks on a second thread
+            run_pair(lambda: fill(starts[1::2]), lambda: fill(starts[0::2]))
+        else:
+            fill(starts)
         self._counter += 2 * pairs
         return out.reshape(-1)[:n]
+
+
+def _normal_blocks(out: np.ndarray, step: np.ndarray, seed: int, counter: int, starts) -> None:
+    # Box-Muller pairs into the rows out[start:start + len(step)] for each block
+    # start, after `counter` draws of the stream, with scratch of its own
+    block = len(step)
+    x, t = np.empty(block, np.uint64), np.empty(block, np.uint64)
+    radius, theta, tmp = np.empty(block), np.empty(block), np.empty(block)
+    for start in starts:
+        m = min(block, len(out) - start)
+        c = counter + 2 * start + 1
+        for k, u in ((c, radius), (c + 1, theta)):
+            base = np.uint64((seed + k * _GOLDEN) & _MASK64)
+            np.add(step[:m], base, out=x[:m])
+            _uniform_into(x[:m], t[:m], u[:m])
+        r, th = radius[:m], theta[:m]
+        np.log(r, out=r)
+        r *= -2.0
+        np.sqrt(r, out=r)
+        th *= 2.0 * np.pi
+        np.multiply(r, np.cos(th, out=tmp[:m]), out=out[start:start + m, 0])
+        np.multiply(r, np.sin(th, out=tmp[:m]), out=out[start:start + m, 1])
 
 
 def randn(rng: Rng, shape, dtype=np.float64) -> np.ndarray:

@@ -1,5 +1,7 @@
 import tempfile
+import threading
 
+import pytest
 from hypothesis import settings
 from hypothesis.configuration import set_hypothesis_home_dir
 
@@ -14,3 +16,17 @@ def pytest_configure(config):
     storage = tempfile.TemporaryDirectory(prefix="hypothesis-")
     config.add_cleanup(storage.cleanup)
     set_hypothesis_home_dir(storage.name)
+
+
+@pytest.fixture
+def thread_starts(monkeypatch):
+    """Names of the threads started while the test runs."""
+    names = []
+    start = threading.Thread.start
+
+    def recording_start(self):
+        names.append(self.name)
+        start(self)
+
+    monkeypatch.setattr(threading.Thread, "start", recording_start)
+    return names

@@ -243,6 +243,27 @@ class TestImport:
         assert (tmp_path / "img.ftns").exists()
 
 
+def test_default_demo_path_starts_no_thread(tmp_path):
+    # the default config draws no tensor of more than one Rng.normal block and
+    # gives gelu no input above its split size, so no second thread starts
+    model, image = str(tmp_path / "model"), str(tmp_path / "img.ftns")
+    code = (
+        "import threading; started = []; start = threading.Thread.start\n"
+        "threading.Thread.start = lambda self: (started.append(self.name), start(self))\n"
+        "import spectral_ops; from spectral_ops import cli\n"
+        f"cli.main({['init-model', '--out', model, '--sample-input', image]!r})\n"
+        f"cli.main({['demo', '--model', model, '--input', image]!r})\n"
+        "print(started)"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=child_env())
+    assert proc.returncode == 0, proc.stderr
+    *demo_lines, started = proc.stdout.splitlines(keepends=True)
+    assert started.strip() == "[]"
+    demo = run_cli("demo", "--model", model, "--input", image)
+    assert demo.returncode == 0 and "".join(demo_lines).endswith(demo.stdout)
+
+
 class TestModelCommands:
     def test_demo_runs_are_byte_identical(self, tmp_path):
         init = run_cli(

@@ -1,6 +1,8 @@
 import hashlib
+import multiprocessing
 import random
 import struct
+import threading
 import tracemalloc
 
 import numpy as np
@@ -109,6 +111,43 @@ def test_normal_scratch_is_block_sized():
     finally:
         tracemalloc.stop()
     assert peak <= z.nbytes + 4 * 2**20
+
+
+@pytest.mark.parametrize("blocks", [1, 2, 3, 5])
+def test_normal_bits_do_not_depend_on_the_split(blocks, thread_starts):
+    # draws of more than one block deal alternate blocks to a second thread;
+    # each n is odd and ends in a ragged block of 12,345 pairs
+    n = 2 * ((blocks - 1) * 2**15 + 12_345) - 1
+    rng = Rng(2**64 - 1)
+    assert np.array_equal(rng.normal(n), _reference_normal(2**64 - 1, 0, n))
+    assert np.array_equal(rng.normal(9), _reference_normal(2**64 - 1, n + 1, 9))
+    assert len(thread_starts) == (blocks > 1)
+
+
+def test_no_thread_outlives_a_multi_block_draw(thread_starts):
+    before = threading.active_count()
+    init_fit_model(FitConfig(embed_dim=256, dim_feedforward=512, depth=1), Rng(1))
+    assert thread_starts and threading.active_count() == before
+
+
+def _send_digest(conn):
+    conn.send(hashlib.sha256(Rng(5).normal(5 * 2**15 + 3).tobytes()).hexdigest())
+    conn.close()
+
+
+def test_fork_child_draws_the_parents_stream():
+    # the parent splits a draw first, so the child forks after a second thread ran
+    expected = hashlib.sha256(Rng(5).normal(5 * 2**15 + 3).tobytes()).hexdigest()
+    ctx = multiprocessing.get_context("fork")
+    receiver, sender = ctx.Pipe(duplex=False)
+    child = ctx.Process(target=_send_digest, args=(sender,))
+    child.start()
+    sender.close()
+    assert receiver.poll(60)
+    digest = receiver.recv()
+    child.join(60)
+    assert not child.is_alive() and child.exitcode == 0
+    assert digest == expected
 
 
 def test_randn_rejects_zero_extent():
