@@ -18,9 +18,7 @@ standard transformer residual):
 
 Every linear layer stores its weight as [out_features, in_features] and
 applies x @ W.T + b.  All ops are pure functions over immutable weights;
-forward passes are safe to run concurrently.  gelu's second thread (above
-_GELU_SPLIT elements) writes only to that call's own temporary and is joined
-before the call returns.  Forward-only: no autodiff.
+forward passes are safe to run concurrently.  Forward-only: no autodiff.
 
 The logits read only the CLS row (row 0), and every op after the mixer is
 row-local, so fit_forward runs the last block on row 0 alone.  For the
@@ -47,13 +45,10 @@ from pathlib import Path
 import numpy as np
 
 from . import spectral
-from ._pair import run_pair
 from .errors import ConfigError, InvalidShapeError, require_finite
 from .tensor import Rng, randn, read_tensor, write_tensor
 
 MIXERS = ("fourier", "attention")
-# elements above which gelu runs half of its erf on a second thread
-_GELU_SPLIT = 2**16
 
 
 @dataclass(frozen=True)
@@ -152,23 +147,15 @@ class FitModel:
 
 def gelu(x) -> np.ndarray:
     """Exact-erf GELU: x * Phi(x) (no tanh approximation).
-    `scipy.special` loads at the first call, not with `import spectral_ops`.
-    Above _GELU_SPLIT elements half of the erf runs on a second thread; erf is
-    elementwise, so the bits are those of one pass."""
+    `scipy.special` loads at the first call, not with `import spectral_ops`."""
     from scipy.special import erf
 
     x = np.asarray(x)
     # sqrt(2) in x's float dtype: an f64 scalar would turn f32 input into f64;
-    # asarray keeps a 0-d quotient an array that out= can write to, and a
-    # C-order t has a flat view to split
-    t = np.asarray(np.divide(x, np.sqrt(2.0, dtype=np.result_type(x, 1.0)), order="C"))
-    if t.dtype not in (np.float32, np.float64):
-        t = erf(t)  # erf takes f16 up to f64, so that result needs its own array
-    elif t.size > _GELU_SPLIT:
-        head, tail = np.array_split(t.reshape(-1), 2)
-        run_pair(lambda: erf(tail, out=tail), lambda: erf(head, out=head))
-    else:
-        erf(t, out=t)
+    # asarray keeps a 0-d quotient an array that out= can write to
+    t = np.asarray(x / np.sqrt(2.0, dtype=np.result_type(x, 1.0)))
+    # in place for f32 and f64; erf takes f16 up to f64, so that result needs its own array
+    t = erf(t, out=t) if t.dtype in (np.float32, np.float64) else erf(t)
     t += 1.0
     t *= 0.5  # exact, so (t * 0.5) * x rounds as (0.5 * x) * t did, and cannot overflow
     t *= x

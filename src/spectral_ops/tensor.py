@@ -23,14 +23,12 @@ The payload length must equal ``itemsize * product(extents)`` exactly.
 
 from __future__ import annotations
 
-import functools
 import math
 import os
 import struct
 
 import numpy as np
 
-from ._pair import run_pair
 from .errors import FormatError, InvalidShapeError
 
 _MAGIC = b"FTNS"
@@ -104,9 +102,10 @@ class Rng:
     Any stretch of the stream depends only on its counters, so a draw is
     computed in blocks of 2**15 pairs with O(block) scratch memory (about
     1.5 MB per thread) beside its result; the stream is the same as in one
-    pass.  A draw of more than one block deals alternate blocks to a
-    short-lived second thread, joined before the call returns, and advances
-    the counter once after both finish.
+    pass.  When the process may run on more than one CPU, a draw of more
+    than one block deals alternate blocks to a short-lived second thread,
+    joined before the call returns, and advances the counter once after
+    both finish.
 
     Single-owner: instances are cheap and not meant to be shared between
     threads; the second thread of a draw never touches the instance.
@@ -126,13 +125,27 @@ class Rng:
         # pair k of a block reads counters c + 2k (u1) and c + 2k + 1 (u2)
         step = np.arange(block, dtype=np.uint64) * np.uint64(2 * _GOLDEN & _MASK64)
         starts = range(0, pairs, _BLOCK_PAIRS)
-        fill = functools.partial(_normal_blocks, out, step, self._seed, self._counter)
-        if len(starts) > 1:  # alternate blocks on a second thread
-            run_pair(lambda: fill(starts[1::2]), lambda: fill(starts[0::2]))
+        args = (out, step, self._seed, self._counter)
+        if len(starts) > 1 and _usable_cpus() > 1:
+            # alternate blocks on a second thread, imported here so that
+            # `import spectral_ops` loads no pool module
+            from concurrent.futures import ThreadPoolExecutor
+
+            with ThreadPoolExecutor(1) as pool:
+                odd = pool.submit(_normal_blocks, *args, starts[1::2])
+                _normal_blocks(*args, starts[0::2])
+                odd.result()
         else:
-            fill(starts)
+            _normal_blocks(*args, starts)
         self._counter += 2 * pairs
         return out.reshape(-1)[:n]
+
+
+def _usable_cpus() -> int:
+    # CPUs this process may run on: its affinity mask where the OS has one
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _normal_blocks(out: np.ndarray, step: np.ndarray, seed: int, counter: int, starts) -> None:

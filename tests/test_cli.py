@@ -244,8 +244,8 @@ class TestImport:
 
 
 def test_default_demo_path_starts_no_thread(tmp_path):
-    # the default config draws no tensor of more than one Rng.normal block and
-    # gives gelu no input above its split size, so no second thread starts
+    # the default config draws no tensor of more than one Rng.normal block, so
+    # no second thread starts
     model, image = str(tmp_path / "model"), str(tmp_path / "img.ftns")
     code = (
         "import threading; started = []; start = threading.Thread.start\n"

@@ -1,6 +1,5 @@
 import hashlib
 import math
-import threading
 import tracemalloc
 
 import mpmath
@@ -202,46 +201,6 @@ class TestFeedForward:
         assert gelu(0.0) == 0.0
         assert abs(gelu(6.0) - 6.0) <= 1e-6
         assert abs(gelu(-6.0)) <= 1e-6
-
-    # gelu runs half of its erf on a second thread above fit._GELU_SPLIT
-    # elements; (197, 3072) is a ViT-Base feed-forward, (1, 3072) its CLS row
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("shape, transpose", [
-        ((197, 3072), False), ((1, 3072), False), ((2**17 + 1,), False),
-        ((3072, 197), True), ((257, 513), False),
-    ])
-    def test_gelu_split_is_bit_identical(self, dtype, shape, transpose, thread_starts):
-        from scipy.special import erf
-
-        x = randn(Rng(15), shape).astype(dtype)
-        x = x.T if transpose else x
-        expected = x / np.sqrt(2.0, dtype=dtype)  # the unsplit formula
-        erf(expected, out=expected)
-        expected += 1.0
-        expected *= 0.5
-        expected *= x
-        thread_starts.clear()  # randn splits large draws too
-        before = threading.active_count()
-        out = gelu(x)
-        assert out.dtype == dtype and out.tobytes() == expected.tobytes()
-        assert len(thread_starts) == (x.size > 2**16)
-        assert threading.active_count() == before
-
-    def test_gelu_worker_half_error_reaches_the_caller(self, monkeypatch):
-        import scipy.special
-
-        real_erf = scipy.special.erf
-
-        def erf(t, out=None):
-            if threading.current_thread() is not threading.main_thread():
-                raise FloatingPointError("worker half")
-            return real_erf(t, out=out)
-
-        monkeypatch.setattr(scipy.special, "erf", erf)
-        before = threading.active_count()
-        with pytest.raises(FloatingPointError, match="worker half"):
-            gelu(np.ones(2**17))
-        assert threading.active_count() == before
 
     def test_zero_weights_give_zeros(self):
         block = BlockWeights(
