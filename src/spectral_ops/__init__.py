@@ -42,7 +42,7 @@ from .gconv import (
     scale_count,
 )
 from .oracles import dft_naive
-from .spectral import PreparedConv, fft_axis, irfft2, linear_fft_conv, prepare_conv, rfft2
+from .spectral import PreparedConv, irfft2, linear_fft_conv, prepare_conv, rfft2
 from .ssm import (
     SsmKernel,
     SsmParams,
@@ -65,7 +65,7 @@ __all__ = [
     "fourier_mixing", "gelu", "init_fit_model", "layer_norm", "load_model",
     "patch_embed", "save_model",
     "GConvParams", "bilinear_resize_1d", "build_kernel", "gconv_forward", "scale_count",
-    "dft_naive", "PreparedConv", "fft_axis", "irfft2", "linear_fft_conv", "prepare_conv", "rfft2",
+    "dft_naive", "PreparedConv", "irfft2", "linear_fft_conv", "prepare_conv", "rfft2",
     "SsmKernel", "SsmParams", "causal_fft_conv", "hippo_legs", "matrix_exp", "ssm_kernel",
     "Rng", "randn", "read_tensor", "write_tensor",
     "SuiteResult", "run_suites",

@@ -23,10 +23,11 @@ The FFT route computes correlation as convolution with the index-reversed
 kernel: spectral.linear_fft_conv computes the window each mode keeps of the
 (H+Kh-1, W+Kw-1) support: `full` is all of it, and `same`/`valid` start at
 (Kh//2, Kw//2) and (Kh-1, Kw-1).  Circular mode is valid mode over the image
-wrap-padded by (Kh-1, Kw-1) on its far sides, after a kernel larger than the
-image is folded modulo the image extents.  direct_xcorr2d is the O(n^2 m^2)
-oracle it is verified against.  fft_circular_conv2d shows the caveat padding removes: the
-unpadded spectrum product, whose result wraps around.
+wrap-padded by (Kh-1, Kw-1) on its far sides, as often as the kernel needs.
+direct_xcorr2d is the O(n^2 m^2) oracle it is verified against; the transform
+convention is scipy's, which the seam inherits and verify's 1-D rows pin.
+fft_circular_conv2d shows the caveat padding removes: the unpadded spectrum
+product, whose result wraps around.
 """
 
 from __future__ import annotations
@@ -52,6 +53,8 @@ def _check_operands(image, kernel, bias, mode):
             f"channel mismatch: image has {img.shape[0]} channels, "
             f"kernel has {ker.shape[0]}"
         )
+    if 0 in img.shape[1:] + ker.shape[1:]:
+        raise InvalidShapeError(f"zero extent in image {img.shape} or kernel {ker.shape}")
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}, expected one of {MODES}")
     if mode == "valid" and (ker.shape[1] > img.shape[1] or ker.shape[2] > img.shape[2]):
@@ -120,8 +123,8 @@ def _fold_mod(kernel, h: int, w: int) -> np.ndarray:
     """Fold kernel taps into an [C, h, w] grid by index modulo the extents.
 
     Pads when the kernel is smaller than the grid, wraps-and-sums when it is
-    larger, so circular correlation with the folded kernel equals circular
-    correlation with the original.
+    larger, so circular convolution with the folded kernel equals circular
+    convolution with the original.
     """
     c, kh, kw = kernel.shape
     qh = -(-kh // h)
@@ -139,9 +142,6 @@ def fft_xcorr2d(image, kernel, bias=None, mode: str = "same") -> np.ndarray:
     img, ker = _check_operands(image, kernel, bias, mode)
     _, kh, kw = ker.shape
     if mode == "circular":
-        # fold a kernel larger than the image first, so each pad stays below its extent
-        ker = _fold_mod(ker, min(kh, img.shape[1]), min(kw, img.shape[2]))
-        _, kh, kw = ker.shape
         img = np.pad(img, ((0, 0), (0, kh - 1), (0, kw - 1)), mode="wrap")
         mode = "valid"
     _, h, w = img.shape

@@ -237,8 +237,8 @@ def attention_mixing(x, block: BlockWeights, num_heads: int, return_weights: boo
         raise InvalidShapeError(f"expected [S, d] input, got rank {x.ndim}")
     require_finite(x=x)
     s, d = x.shape
-    if d % num_heads:
-        raise ConfigError(f"embed_dim {d} not divisible by num_heads {num_heads}")
+    if num_heads < 1 or d % num_heads:
+        raise ConfigError(f"num_heads {num_heads} is not a positive divisor of embed_dim {d}")
     dk = d // num_heads
 
     def heads(m):

@@ -148,7 +148,7 @@ def gconv_forward(signal, params: GConvParams) -> np.ndarray:
     conv = params._conv.get((params.base_kernel,),
                             (L, params.width, params.depth, params.bidirectional),
                             lambda: _prepare_two_sided(params, L))
-    out = np.ascontiguousarray(conv.apply(np.ascontiguousarray(sig.T)).T)
+    out = np.ascontiguousarray(conv.apply(sig.T).T)
     if params.bias is not None:
         out = out + np.asarray(params.bias, dtype=out.dtype)[None, :]
     return out

@@ -1,9 +1,11 @@
-"""The library's one FFT seam: DFT/FFT contracts and the shared linear
-convolution primitive.
+"""The library's one FFT seam: the real-input transforms and the shared
+linear convolution primitive.
 
 Convention: the forward transform is unnormalized with e^{-2 pi i nk/N}
 phases; the inverse carries the 1/N factor, so forward-multiply-inverse
-pipelines need no extra scaling.
+pipelines need no extra scaling.  It is the ``scipy.fft`` convention, which
+the seam inherits; `verify`'s 1-D spectral rows pin it on ``scipy.fft``
+itself.
 
 The transforms are ``scipy.fft`` (pocketfft), which handles any length, keeps
 f32 in complex64 and runs on its default single worker, so results do not
@@ -31,21 +33,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidShapeError
-
-
-def _resolve_axis(ndim: int, axis: int) -> int:
-    if not -ndim <= axis < ndim:
-        raise InvalidShapeError(f"axis {axis} out of range for rank-{ndim} tensor")
-    return axis % ndim
-
-
-def fft_axis(x, axis: int = -1, inverse: bool = False) -> np.ndarray:
-    """FFT along one axis; `inverse` applies the conjugate transform with 1/N."""
-    import scipy.fft
-
-    a = np.asarray(x)
-    ax = _resolve_axis(a.ndim, axis)
-    return scipy.fft.ifft(a, axis=ax) if inverse else scipy.fft.fft(a, axis=ax)
 
 
 def rfft2(x) -> np.ndarray:
@@ -120,7 +107,9 @@ def prepare_conv(a, b_shape, axes, crop=None) -> PreparedConv:
         raise InvalidShapeError(f"operand ranks differ: {a.ndim} and {len(b_shape)}")
     if np.iscomplexobj(a):
         raise InvalidShapeError("linear_fft_conv expects real operands")
-    axes = tuple(_resolve_axis(a.ndim, ax) - a.ndim for ax in axes)
+    given, axes = axes, tuple(ax - a.ndim * (ax >= 0) for ax in axes)
+    if not axes or len(set(axes)) < len(axes) or not all(-a.ndim <= ax < 0 for ax in axes):
+        raise InvalidShapeError(f"axes {given} are not distinct axes of a rank-{a.ndim} array")
     extents = tuple(b_shape[ax] for ax in axes)
     # an empty operand gives an empty support, but a transform needs length >= 1
     supports = [max(a.shape[ax] + e - 1, 0) for ax, e in zip(axes, extents)]

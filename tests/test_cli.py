@@ -328,6 +328,14 @@ class TestModelCommands:
         assert "error:" in capsys.readouterr().err
 
 
+def test_all_names_resolve():
+    # a stale __all__ entry would break `from spectral_ops import *`
+    assert [name for name in spectral_ops.__all__ if not hasattr(spectral_ops, name)] == []
+    namespace = {}
+    exec("from spectral_ops import *", namespace)
+    assert set(spectral_ops.__all__) <= set(namespace)
+
+
 def test_perfbench_traced_names_exist():
     # perfbench's traced run wraps these functions by name; a removed or
     # renamed one would crash it, so every target must stay a callable attribute

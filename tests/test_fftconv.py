@@ -119,6 +119,17 @@ def test_valid_mode_kernel_too_big_rejected():
             op(np.zeros((1, 4, 4)), np.zeros((1, 5, 5)), mode="valid")
 
 
+@pytest.mark.parametrize("op", [direct_xcorr2d, fft_xcorr2d])
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("img_shape,ker_shape", [
+    ((1, 0, 4), (1, 3, 3)), ((1, 4, 0), (1, 1, 1)), ((1, 4, 4), (1, 0, 3)), ((1, 4, 4), (1, 3, 0)),
+], ids=["image-h", "image-w", "kernel-h", "kernel-w"])
+def test_zero_extent_operand_rejected(op, mode, img_shape, ker_shape):
+    # one rule for both routes and every mode, where each used to fail its own way
+    with pytest.raises(InvalidShapeError, match="zero extent"):
+        op(np.zeros(img_shape), np.zeros(ker_shape), mode=mode)
+
+
 def test_unknown_mode_rejected():
     with pytest.raises(ValueError, match="mode"):
         direct_xcorr2d(np.zeros((1, 4, 4)), np.zeros((1, 3, 3)), mode="reflect")

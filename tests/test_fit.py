@@ -258,8 +258,9 @@ class TestAttention:
         assert np.max(np.abs(attention_mixing(x, block, 1) - expected)) <= 1e-12
 
     def test_rejects_indivisible_heads(self):
-        with pytest.raises(ConfigError):
-            attention_mixing(randn(Rng(22), (2, 6)), attention_block(Rng(23), 6), 4)
+        for heads in (4, 0, -2):
+            with pytest.raises(ConfigError):
+                attention_mixing(randn(Rng(22), (2, 6)), attention_block(Rng(23), 6), heads)
 
     @pytest.mark.parametrize("shape", [(2, 5, 16), (16,)])
     def test_rejects_bad_rank(self, shape):
