@@ -31,10 +31,12 @@ for mode in ("full", "same", "valid", "circular"):
     print(f"  {mode:8s} -> {out.shape[1]}x{out.shape[2]}   |fft - direct| = {err:.2e}")
 
 # --- wrap-around: what happens without padding ------------------------------
-# Multiplying spectra without zero-padding computes *circular* convolution:
-# the kernel taps that slide past the right/bottom edge re-enter on the left/
-# top.  Exactly the first (m-1) rows and columns are contaminated; everything
-# else matches the linear result.
+# Multiplying spectra without zero-padding would compute *circular*
+# convolution: the kernel taps that slide past the right/bottom edge re-enter
+# on the left/top.  fft_circular_conv2d computes that result on purpose, as a
+# window of the linear convolution of the image wrap-padded on its top/left.
+# Exactly the first (m-1) rows and columns are contaminated; everything else
+# matches the linear result.
 n, m = 16, 5
 img1 = randn(rng, (n, n))
 ker1 = randn(rng, (m, m))

@@ -22,12 +22,12 @@ two disagree about what "the" output is, so both are exposed as modes.
 The FFT route computes correlation as convolution with the index-reversed
 kernel: spectral.linear_fft_conv computes the window each mode keeps of the
 (H+Kh-1, W+Kw-1) support: `full` is all of it, and `same`/`valid` start at
-(Kh//2, Kw//2) and (Kh-1, Kw-1).  Circular mode is valid mode over the image
-wrap-padded by (Kh-1, Kw-1) on its far sides, as often as the kernel needs.
+(Kh//2, Kw//2) and (Kh-1, Kw-1).  Both circular routes are windows of the
+same primitive over the image wrap-padded by (Kh-1, Kw-1), as often as the
+kernel needs: circular correlation pads the far sides and keeps valid mode,
+fft_circular_conv2d (true convolution, kernel as given) pads the near sides.
 direct_xcorr2d is the O(n^2 m^2) oracle it is verified against; the transform
 convention is scipy's, which the seam inherits and verify's 1-D rows pin.
-fft_circular_conv2d shows the caveat padding removes: the unpadded spectrum
-product, whose result wraps around.
 """
 
 from __future__ import annotations
@@ -119,24 +119,6 @@ def direct_xcorr2d(image, kernel, bias=None, mode: str = "same") -> np.ndarray:
     return _add_bias(out, bias)
 
 
-def _fold_mod(kernel, h: int, w: int) -> np.ndarray:
-    """Fold kernel taps into an [C, h, w] grid by index modulo the extents.
-
-    Pads when the kernel is smaller than the grid, wraps-and-sums when it is
-    larger, so circular convolution with the folded kernel equals circular
-    convolution with the original.
-    """
-    c, kh, kw = kernel.shape
-    qh = -(-kh // h)
-    rows = np.zeros((c, qh * h, kw), dtype=kernel.dtype)
-    rows[:, :kh, :] = kernel
-    folded = rows.reshape(c, qh, h, kw).sum(axis=1)
-    qw = -(-kw // w)
-    cols = np.zeros((c, h, qw * w), dtype=kernel.dtype)
-    cols[:, :, :kw] = folded
-    return cols.reshape(c, h, qw, w).sum(axis=2)
-
-
 def fft_xcorr2d(image, kernel, bias=None, mode: str = "same") -> np.ndarray:
     """Cross-correlation as an FFT convolution with the flipped kernel."""
     img, ker = _check_operands(image, kernel, bias, mode)
@@ -157,19 +139,18 @@ def fft_xcorr2d(image, kernel, bias=None, mode: str = "same") -> np.ndarray:
 
 
 def fft_circular_conv2d(image, kernel) -> np.ndarray:
-    """True circular convolution (kernel flipped) via unpadded spectra.
+    """True circular convolution: kernel indices taken modulo the image extents.
 
-    No padding and no conjugation: the plain spectrum product, so the result
-    wraps around — the (m-1) edge values mix opposite sides of the image.
-    Accepts [H, W] or [C, H, W] operands; a smaller kernel is zero-padded
-    (larger: folded modulo the image extents) before transforming.
+    out[c, y, x] = sum_{i,j} kernel[c, i, j] * image[c, (y-i) % H, (x-j) % W]
+    for [H, W] or [C, H, W] operands: the window ((Kh-1, Kh-1+H), (Kw-1, Kw-1+W))
+    of the linear convolution of the image, wrap-padded by (Kh-1, Kw-1) on its
+    near sides, with the kernel as given (fft_xcorr2d passes it flipped).
     """
     squeeze = np.ndim(image) == np.ndim(kernel) == 2
     if squeeze:
         image, kernel = np.asarray(image)[None], np.asarray(kernel)[None]
     img, ker = _check_operands(image, kernel, None, "circular")
-    h, w = img.shape[1:]
-    out = spectral.irfft2(
-        spectral.rfft2(img) * spectral.rfft2(_fold_mod(ker, h, w)), (h, w)
-    )
-    return out[0] if squeeze else out
+    (_, h, w), (_, kh, kw) = img.shape, ker.shape
+    img = np.pad(img, ((0, 0), (kh - 1, 0), (kw - 1, 0)), mode="wrap")
+    out = spectral.linear_fft_conv(img, ker, (1, 2), ((kh - 1, kh - 1 + h), (kw - 1, kw - 1 + w)))
+    return np.ascontiguousarray(out[0] if squeeze else out)

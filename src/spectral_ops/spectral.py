@@ -148,10 +148,15 @@ class PreparedConv:
             raise InvalidShapeError(f"shape {b.shape} lacks the extents {self.extents} "
                                     f"prepared for axes {self.axes}")
         spec = _pruned_rfftn(b, self.lengths, self.axes)
+        try:
+            fits = np.broadcast_shapes(self.spectrum.shape, spec.shape) == spec.shape
+        except ValueError:
+            raise InvalidShapeError(f"shape {b.shape} does not broadcast with the prepared "
+                                    f"spectrum {self.spectrum.shape} outside axes "
+                                    f"{self.axes}") from None
+        in_place = fits and np.result_type(self.spectrum, spec) == spec.dtype
         # the prepared spectrum stays the left factor, because with fused
         # multiply-adds a complex product is not bitwise commutative
-        fits = np.broadcast_shapes(self.spectrum.shape, spec.shape) == spec.shape
-        in_place = fits and np.result_type(self.spectrum, spec) == spec.dtype
         spec = np.multiply(self.spectrum, spec, out=spec if in_place else None)
         # pruned inverse: the complex passes run in place and keep only their
         # window's rows, so the real pass runs over the kept rows alone

@@ -198,6 +198,31 @@ def test_output_dtype_is_the_operands_result_type(img_dtype, ker_dtype, case):
         assert op(img, ker, mode=mode).dtype == np.result_type(img_dtype, ker_dtype), op
 
 
+@st.composite
+def circular_conv_cases(draw):
+    """(image shape, kernel shape, image dtype, kernel dtype): [C, H, W] with
+    C <= 3 or the 2-D form, each kernel extent drawn up to 2 * extent + 3."""
+    h, w = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    kh, kw = draw(st.integers(1, 2 * h + 3)), draw(st.integers(1, 2 * w + 3))
+    lead = draw(st.sampled_from([(), (1,), (2,), (3,)]))
+    return lead + (h, w), lead + (kh, kw), draw(st.sampled_from(FLOATS)), draw(st.sampled_from(FLOATS))
+
+
+@settings(max_examples=80)
+@given(case=circular_conv_cases(), seed=st.integers(0, 2**32 - 1))
+def test_circular_conv_matches_wraparound_oracle_on_random_shapes(case, seed):
+    img_shape, ker_shape, img_dtype, ker_dtype = case
+    rng = Rng(seed)
+    img, ker = randn(rng, img_shape, img_dtype), randn(rng, ker_shape, ker_dtype)
+    got = fft_circular_conv2d(img, ker)
+    assert got.dtype == np.result_type(img, ker) and got.shape == img.shape
+    # each operand is transformed at its own precision, so one f32 operand sets the bound
+    tol = 1e-10 if img.dtype == ker.dtype == np.float64 else 1e-3
+    for c in np.ndindex(img.shape[:-2]):
+        want = direct_conv_circular(img[c].astype(np.float64), ker[c].astype(np.float64))
+        assert np.max(np.abs(got[c] - want)) <= tol
+
+
 # --- circular convolution ----------------------------------------------------
 
 

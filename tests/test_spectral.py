@@ -14,6 +14,7 @@ from spectral_ops import (
     Rng,
     causal_fft_conv,
     dft_naive,
+    fft_circular_conv2d,
     fft_xcorr2d,
     gconv_forward,
     irfft2,
@@ -208,6 +209,9 @@ class TestLinearFftConv:
         for axes in ((0, 0), (0, -2), (), (2,), (-3,)):
             with pytest.raises(InvalidShapeError, match="axes"):
                 linear_fft_conv(np.ones((5, 4)), np.ones((3, 4)), axes)
+        # axes that are not convolved must broadcast
+        with pytest.raises(InvalidShapeError, match=r"\(3, 4\).*\(5, 5\)"):
+            linear_fft_conv(np.ones((5, 4)), np.ones((3, 4)), (1,))
 
 
 class TestPreparedConv:
@@ -238,6 +242,10 @@ class TestPreparedConv:
             got = prepare_conv(a, flipped.shape, (1, 2), crop).apply(flipped)
             assert np.array_equal(got, linear_fft_conv(a, flipped, (1, 2), crop))
             assert np.array_equal(got, fft_xcorr2d(img, ker, mode=mode))
+        # circular convolution: the unflipped kernel over the image wrap-padded on its near sides
+        near = np.pad(img, ((0, 0), (4, 0), (3, 0)), mode="wrap")
+        assert np.array_equal(fft_circular_conv2d(img, ker),
+                              linear_fft_conv(near, ker, (1, 2), [(4, 24), (3, 20)]))
 
     def test_immutable_with_a_read_only_spectrum(self):
         conv = prepare_conv(np.ones(4), (6,), (0,))
@@ -253,6 +261,11 @@ class TestPreparedConv:
                 conv.apply(b)
         with pytest.raises(InvalidShapeError):
             prepare_conv(np.ones((2, 4)), (6,), (1,))
+        # the axes that are not convolved must broadcast
+        conv = prepare_conv(np.ones((5, 4)), (3, 4), (1,))
+        for b in (np.ones((3, 4)), np.ones((2, 3, 4))):
+            with pytest.raises(InvalidShapeError, match=r"\(5, 5\)"):
+                conv.apply(b)
 
 
 def _five_smooth(n):
@@ -272,6 +285,11 @@ def _xcorr_224_31():
 def _circular_xcorr_224_31():
     rng = Rng(14)
     fft_xcorr2d(randn(rng, (1, 224, 224)), randn(rng, (1, 31, 31)), mode="circular")
+
+
+def _circular_conv_224_31():
+    rng = Rng(14)
+    fft_circular_conv2d(randn(rng, (1, 224, 224)), randn(rng, (1, 31, 31)))
 
 
 def _causal_16384():
@@ -314,12 +332,12 @@ def _record_seam_lengths(monkeypatch):
     return calls
 
 
-# linear supports 254 = 2*127, 284 = 4*71 (circular: valid mode over the image
-# wrap-padded to 254), 32767 = 7*31*151 and 49150 = 2*5^2*983; the kept
-# windows need 254/239/224 (full/same/valid), 254, 32767 and 32767
+# linear supports 254 = 2*127, 284 = 4*71 (both circular routes: a window of
+# the image wrap-padded to 254), 32767 = 7*31*151 and 49150 = 2*5^2*983; the
+# kept windows need 254/239/224 (full/same/valid), 254, 254, 32767 and 32767
 @pytest.mark.parametrize("run,support", [
-    (_xcorr_224_31, 254), (_circular_xcorr_224_31, 284), (_causal_16384, 32767),
-    (_bidirectional_gconv_16384, 49150),
+    (_xcorr_224_31, 254), (_circular_xcorr_224_31, 284), (_circular_conv_224_31, 284),
+    (_causal_16384, 32767), (_bidirectional_gconv_16384, 49150),
 ])
 def test_padded_transform_lengths_are_five_smooth(monkeypatch, run, support):
     calls = _record_seam_lengths(monkeypatch)
@@ -339,18 +357,48 @@ def test_bidirectional_gconv_transforms_at_the_kept_window(monkeypatch):
     assert {n for _, _, lengths in calls for _, n in lengths} == {32768}
 
 
+def _fft_backend_lines(source):
+    """Lines where `source` reaches numpy.fft or scipy.fft through an import in
+    any spelling (parenthesised, aliased) or as `.fft` of a name bound to numpy
+    or scipy, the spellings a line-by-line search can miss."""
+    tree = ast.parse(source)
+    bound = {a.asname or a.name: a.name for node in ast.walk(tree)
+             if isinstance(node, ast.Import) for a in node.names}
+    lines = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [f"{node.module}.{a.name}" for a in node.names]
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            names = [f"{bound.get(node.value.id)}.{node.attr}"]
+        else:
+            continue
+        if any(re.match(r"(numpy|scipy)\.fft\b", name) for name in names):
+            lines.add(node.lineno)
+    return sorted(lines)
+
+
 def test_raw_fft_calls_only_in_the_seam():
-    # verify.py keeps raw calls on purpose: they are independent oracles
+    # ROADMAP aim 2: spectral.py is the one FFT seam; verify.py keeps raw
+    # calls on purpose: they are independent oracles
     raw = re.compile(r"np\.fft|numpy\.fft|scipy\.fft|from (numpy|scipy) import .*\bfft\b")
+    for spelling, want in (("import numpy as xp\nxp.fft.rfft(x)", [2]),
+                           ("from scipy import (\n    fft,\n)", [1]),
+                           ("import scipy.fft as sf", [1]), ("from numpy.fft import rfft", [1]),
+                           ("import numpy as np\nnp.linalg.norm(x)", []),
+                           ("from . import spectral\nspectral.rfft2(x)", [])):
+        assert _fft_backend_lines(spelling) == want, spelling
     src = Path(spectral_ops.__file__).parent
-    offenders = [
-        f"{path.name}:{lineno}"
-        for path in sorted(src.glob("*.py"))
-        if path.name not in ("spectral.py", "verify.py")
-        for lineno, line in enumerate(path.read_text().splitlines(), 1)
-        if raw.search(line)
-    ]
+    offenders = []
+    for path in sorted(src.glob("*.py")):
+        if path.name in ("spectral.py", "verify.py"):
+            continue
+        text = path.read_text()
+        lines = {n for n, line in enumerate(text.splitlines(), 1) if raw.search(line)}
+        offenders += [f"{path.name}:{n}" for n in sorted(lines | set(_fft_backend_lines(text)))]
     assert offenders == []
+    assert _fft_backend_lines((src / "spectral.py").read_text())
 
 
 def test_oracles_import_only_errors_from_the_library():
