@@ -30,25 +30,34 @@ class BenchRow:
     repeats: int
     checksum: float
     samples_ms: tuple[float, ...] = ()  # the timed calls in round order; not in the CSV
+    minor_faults: tuple[int, ...] = ()  # the thread's minor page faults per timed call
+    cpu_ms: tuple[float, ...] = ()  # the thread's CPU time per timed call
 
 
 def time_cases(cases, repeats: int) -> list[BenchRow]:
     """One BenchRow per (suite, params, method, fn) case: `repeats` rounds in
     list order, each sample an untimed call of a case and then its timed call."""
+    import resource  # here, not at module level, so that importing the library stays lean
+
     if repeats < 1:
         raise ValueError(f"repeats must be >= 1, got {repeats}")
-    samples = [[] for _ in cases]
+    who = getattr(resource, "RUSAGE_THREAD", resource.RUSAGE_SELF)  # not on every platform
+    samples = [[] for _ in cases]  # (ms, minor faults, thread CPU ms) per timed call
     outs = [None] * len(cases)
     for _ in range(repeats):
         for i, (*_, fn) in enumerate(cases):
             fn()
+            faults, cpu = resource.getrusage(who).ru_minflt, time.thread_time()
             start = time.perf_counter()
             outs[i] = fn()
-            samples[i].append((time.perf_counter() - start) * 1e3)
+            ms = (time.perf_counter() - start) * 1e3
+            samples[i].append((ms, resource.getrusage(who).ru_minflt - faults,
+                               (time.thread_time() - cpu) * 1e3))
     return [
-        BenchRow(suite, params, method, float(np.median(times)), repeats,
-                 float(np.asarray(out).flat[0]), tuple(times))
-        for (suite, params, method, _), times, out in zip(cases, samples, outs)
+        BenchRow(suite, params, method, float(np.median(ms)), repeats,
+                 float(np.asarray(out).flat[0]), ms, faults, cpu)
+        for (suite, params, method, _), (ms, faults, cpu), out
+        in zip(cases, (zip(*calls) for calls in samples), outs)
     ]
 
 

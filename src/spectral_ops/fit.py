@@ -28,11 +28,9 @@ fourier_mixing of the [1, d] column sum.  The attention mixer still mixes
 every row and keeps row 0 of its output.  The logits then differ from the
 all-rows forward only in rounding (about 3e-15 at the ViT-Base config).
 
-The ops run their elementwise chains in place, but an op writes only into
-arrays allocated within its own call (its temporaries and the fresh
-matmul or library results it receives), never into an input or a weight.
-It writes in place only where that keeps the result dtype, so no output
-dtype changes: f32 in, f32 out; f64 in, f64 out; an f32/f64 mix gives f64.
+Chains such as `x @ W.T + b` are plain numpy expressions: numpy reuses a
+large temporary for the next result of its dtype and shape, never an input
+or a weight.  f32 in, f32 out; f64 in, f64 out; an f32/f64 mix gives f64.
 """
 
 from __future__ import annotations
@@ -168,17 +166,7 @@ def layer_norm(x, gamma, beta) -> np.ndarray:
     x = np.asarray(x)
     centred = x - x.mean(axis=-1, keepdims=True)
     centred /= np.sqrt(np.square(centred).mean(axis=-1, keepdims=True) + 1e-12)
-    return _into(np.add, _into(np.multiply, centred, gamma), beta)
-
-
-def _into(ufunc, a: np.ndarray, b) -> np.ndarray:
-    """ufunc(a, b), written into `a` when that gives the same dtype and shape.
-    `a` must be an array the caller allocated itself (a temporary or a fresh
-    matmul result), never an input or a weight."""
-    b = np.asarray(b)
-    if np.result_type(a, b) == a.dtype and np.broadcast_shapes(a.shape, b.shape) == a.shape:
-        return ufunc(a, b, out=a)
-    return ufunc(a, b)
+    return centred * gamma + beta
 
 
 def patch_embed(image, model: FitModel) -> np.ndarray:
@@ -256,8 +244,7 @@ def attention_mixing(x, block: BlockWeights, num_heads: int, return_weights: boo
 
 def feed_forward(x, block: BlockWeights) -> np.ndarray:
     """dense(gelu(ff(x))): d -> dim_feedforward -> d with exact-erf GELU."""
-    hidden = gelu(_into(np.add, np.asarray(x) @ block.w_ff.T, block.b_ff))
-    return _into(np.add, hidden @ block.w_dense.T, block.b_dense)
+    return gelu(np.asarray(x) @ block.w_ff.T + block.b_ff) @ block.w_dense.T + block.b_dense
 
 
 def fit_block(x, block: BlockWeights, mixer: str = "fourier", num_heads: int = 1) -> np.ndarray:
@@ -270,9 +257,9 @@ def fit_block(x, block: BlockWeights, mixer: str = "fourier", num_heads: int = 1
 
 def _block_tail(x, mixed: np.ndarray, block: BlockWeights) -> np.ndarray:
     """The row-local rest of a block after its mixer: LN1, FF, residual, LN2."""
-    h = feed_forward(layer_norm(mixed + x, block.gamma1, block.beta1), block)
     # second residual adds the mixer output itself (reference wiring)
-    return layer_norm(_into(np.add, h, mixed), block.gamma2, block.beta2)
+    h = feed_forward(layer_norm(mixed + x, block.gamma1, block.beta1), block) + mixed
+    return layer_norm(h, block.gamma2, block.beta2)
 
 
 def fit_forward(image, model: FitModel) -> np.ndarray:

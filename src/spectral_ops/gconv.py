@@ -129,11 +129,11 @@ def gconv_forward(signal, params: GConvParams) -> np.ndarray:
     """FFT convolution of a [L, depth] signal with the built kernel, plus bias:
     an L-sample window of spectral.linear_fft_conv along the sequence axis.
 
-    The kernel's prepared spectrum for the last L is kept on `params`, keyed
-    by the values of base_kernel, L, width, depth and bidirectional (see
-    _slot.Slot), so repeat calls transform only the signal; concurrent callers
-    may both build it, which is harmless.  A NaN or infinity in the signal,
-    bias or base_kernel raises NonFiniteError.
+    The kernel's spectrum for the last L, prepared at the result dtype, is kept
+    on `params`, keyed by that dtype and the values of base_kernel, L, width,
+    depth and bidirectional (see _slot.Slot), so repeat calls transform only the
+    signal; concurrent callers may both build it, which is harmless.  A NaN or
+    infinity in the signal, bias or base_kernel raises NonFiniteError.
     """
     sig = np.asarray(signal)
     if sig.ndim != 2:
@@ -142,24 +142,24 @@ def gconv_forward(signal, params: GConvParams) -> np.ndarray:
         raise InvalidShapeError(
             f"signal depth {sig.shape[1]} != params.depth {params.depth}"
         )
-    _check_params(params)
+    dtype = np.result_type(sig, _check_params(params))
     require_finite(signal=sig, bias=params.bias)
     L = sig.shape[0]
     conv = params._conv.get((params.base_kernel,),
-                            (L, params.width, params.depth, params.bidirectional),
-                            lambda: _prepare_two_sided(params, L))
-    out = np.ascontiguousarray(conv.apply(sig.T).T)
+                            (L, params.width, params.depth, params.bidirectional, dtype),
+                            lambda: _prepare_two_sided(params, L, dtype))
+    out = np.ascontiguousarray(conv.apply(sig.T).T)  # fresh, so the bias adds in place
     if params.bias is not None:
-        out = out + np.asarray(params.bias, dtype=out.dtype)[None, :]
+        out += np.asarray(params.bias, dtype=out.dtype)
     return out
 
 
-def _prepare_two_sided(params: GConvParams, L: int) -> spectral.PreparedConv:
-    """The built kernel, two-sided when bidirectional, transformed for a [depth, L] signal."""
+def _prepare_two_sided(params: GConvParams, L: int, dtype) -> spectral.PreparedConv:
+    """The built kernel as `dtype`, two-sided when bidirectional, for a [depth, L] signal."""
     require_finite(base_kernel=params.base_kernel)
     # the backward taps equal the forward ones, so only the forward half is
     # built; the transforms run along the last, contiguous axis of [depth, .]
-    taps = build_kernel(replace(params, bidirectional=False), L).T
+    taps = build_kernel(replace(params, bidirectional=False), L).T.astype(dtype, copy=False)
     if not params.bidirectional:
         h, start = taps, 0
     else:

@@ -86,9 +86,10 @@ def linear_fft_conv(a, b, axes, crop=None) -> np.ndarray:
     listed axis, whose support has extent S = a + b - 1; the other axes
     broadcast.  `crop` holds one (start, stop) per listed axis, default the
     whole support (0, S), and only that window is computed and returned.
+    Both operands transform at the precision of np.result_type(a, b).
     """
-    b = np.asarray(b)
-    return prepare_conv(a, b.shape, axes, crop).apply(b)
+    a, b = np.asarray(a), np.asarray(b)
+    return prepare_conv(np.asarray(a, np.result_type(a, b)), b.shape, axes, crop).apply(b)
 
 
 def prepare_conv(a, b_shape, axes, crop=None) -> PreparedConv:
@@ -147,6 +148,8 @@ class PreparedConv:
         if b.ndim < -min(self.axes) or tuple(b.shape[ax] for ax in self.axes) != self.extents:
             raise InvalidShapeError(f"shape {b.shape} lacks the extents {self.extents} "
                                     f"prepared for axes {self.axes}")
+        # at least the spectrum's precision, so that an f32 `b` cannot cap an f64 result
+        b = np.asarray(b, np.result_type(b, np.finfo(self.spectrum.dtype).dtype))
         spec = _pruned_rfftn(b, self.lengths, self.axes)
         try:
             fits = np.broadcast_shapes(self.spectrum.shape, spec.shape) == spec.shape
@@ -154,10 +157,9 @@ class PreparedConv:
             raise InvalidShapeError(f"shape {b.shape} does not broadcast with the prepared "
                                     f"spectrum {self.spectrum.shape} outside axes "
                                     f"{self.axes}") from None
-        in_place = fits and np.result_type(self.spectrum, spec) == spec.dtype
         # the prepared spectrum stays the left factor, because with fused
         # multiply-adds a complex product is not bitwise commutative
-        spec = np.multiply(self.spectrum, spec, out=spec if in_place else None)
+        spec = np.multiply(self.spectrum, spec, out=spec if fits else None)
         # pruned inverse: the complex passes run in place and keep only their
         # window's rows, so the real pass runs over the kept rows alone
         kept = [(..., slice(*w)) + (slice(None),) * (-1 - ax)

@@ -172,5 +172,6 @@ def causal_fft_conv(kernel, u) -> np.ndarray:
     if k.shape[0] != u.shape[-1]:
         raise InvalidShapeError(f"kernel length {k.shape[0]} != input length {u.shape[-1]}")
     require_finite(signal=u)
-    kernel = kernel if isinstance(kernel, SsmKernel) else SsmKernel(values=k)
+    if not isinstance(kernel, SsmKernel):  # a plain kernel transforms at the result precision
+        kernel = SsmKernel(np.asarray(k, np.result_type(k, u)))
     return kernel._causal_conv.apply(u)

@@ -168,11 +168,13 @@ def test_07_timing_trends():
     elapsed = time.perf_counter() - start
     ok = direct_ratio >= 10.0 and fft_ratio <= 1.5 and crossover and mixing_ratio >= 3.0 and elapsed < 300.0
     samples = "; ".join(f"{r.params} {r.method} " + " ".join(f"{ms:.2f}" for ms in r.samples_ms)
+                        + " | faults " + " ".join(map(str, r.minor_faults))
+                        + " | cpu " + " ".join(f"{ms:.2f}" for ms in r.cpu_ms)
                         for r in ratio_rows)
     _check(7, "timing trends", ok,
            f"direct m31/m3 {direct_ratio:.1f} (>=10), fft {fft_ratio:.2f} (<=1.5), "
            f"fft<direct at n=224 {crossover}, fourier speedup {mixing_ratio:.1f}x (>=3), {elapsed:.0f}s; "
-           f"samples ms: {samples}")
+           f"samples ms | minor faults | thread CPU ms: {samples}")
 
 
 def test_08_ssm_formulas():

@@ -216,11 +216,29 @@ def test_circular_conv_matches_wraparound_oracle_on_random_shapes(case, seed):
     img, ker = randn(rng, img_shape, img_dtype), randn(rng, ker_shape, ker_dtype)
     got = fft_circular_conv2d(img, ker)
     assert got.dtype == np.result_type(img, ker) and got.shape == img.shape
-    # each operand is transformed at its own precision, so one f32 operand sets the bound
+    # mixed dtypes keep the f32 bound here; test_mixed_precision_* pin them at 1e-10
     tol = 1e-10 if img.dtype == ker.dtype == np.float64 else 1e-3
     for c in np.ndindex(img.shape[:-2]):
         want = direct_conv_circular(img[c].astype(np.float64), ker[c].astype(np.float64))
         assert np.max(np.abs(got[c] - want)) <= tol
+
+
+@pytest.mark.parametrize("img_dtype,ker_dtype", [(np.float32, np.float64), (np.float64, np.float32)])
+def test_mixed_precision_xcorr_is_f64_accurate(img_dtype, ker_dtype):
+    # both operands transform in f64, so the f32 one cannot cap the result at f32 accuracy
+    rng = Rng(40)
+    img, ker = randn(rng, (1, 64, 64), img_dtype), randn(rng, (1, 7, 7), ker_dtype)
+    got = fft_xcorr2d(img, ker, mode="same")
+    want = direct_xcorr2d(img.astype(np.float64), ker.astype(np.float64), mode="same")
+    assert got.dtype == np.float64 and np.max(np.abs(got - want)) <= 1e-10
+
+
+def test_mixed_precision_circular_conv_is_f64_accurate():
+    rng = Rng(41)
+    img, ker = randn(rng, (16, 16), np.float32), randn(rng, (5, 5))
+    got = fft_circular_conv2d(img, ker)
+    want = direct_conv_circular(img.astype(np.float64), ker)
+    assert got.dtype == np.float64 and np.max(np.abs(got - want)) <= 1e-10
 
 
 # --- circular convolution ----------------------------------------------------
@@ -332,3 +350,10 @@ def test_bench_conv_rows_well_formed():
         assert r.median_ms >= 0.0
         assert r.repeats == 2
         assert np.isfinite(r.checksum)
+
+
+def test_bench_rows_carry_faults_and_thread_cpu_per_sample():
+    for r in bench_conv([8], [3], repeats=2):
+        assert len(r.minor_faults) == len(r.cpu_ms) == 2
+        assert all(isinstance(f, int) and f >= 0 for f in r.minor_faults)
+        assert all(ms >= 0.0 for ms in r.cpu_ms)

@@ -1,3 +1,4 @@
+import copy
 import hashlib
 import math
 import tracemalloc
@@ -395,10 +396,11 @@ def _all_rows_forward(image, model):
     return gelu(x[0] @ model.head_weight.T + model.head_bias)
 
 
-def _randomized_model(mixer, depth, seed):
-    """A small model whose zero- and one-filled tensors (biases, norm scales
-    and shifts, positional table) are random too, so every term is exercised."""
-    model = init_fit_model(small_config(mixer=mixer, depth=depth), Rng(seed))
+def _randomized_model(mixer, depth, seed, **overrides):
+    """A small model (or small_config with `overrides`) whose zero- and one-filled
+    tensors (biases, norm scales and shifts, positional table) are random too,
+    so every term is exercised."""
+    model = init_fit_model(small_config(mixer=mixer, depth=depth, **overrides), Rng(seed))
     rng = Rng(seed + 1)
     for owner, name, value in _arrays(model):
         if value.ndim == 1 or name == "pos_embed":
@@ -529,6 +531,43 @@ class TestDtypeContractAndNoMutation:
         logits = fit_forward(image, model)
         assert logits.dtype == np.result_type(image, *(a for _, _, a in _arrays(model)))
         _assert_unchanged(snap)
+
+
+class TestAboveNumpysElisionThreshold:
+    # At S=197 (224x224, patch 16), d=256 and dim_feedforward=512 the [197, 512]
+    # temporaries, and in f64 the [197, 256] ones, exceed numpy's 256 KiB
+    # temporary-elision threshold, which the 8x8 models above never reach.  With
+    # every operand read-only, a write into one raises; results must equal the
+    # run on writeable copies bit for bit.
+    @pytest.mark.parametrize("mixer", ["fourier", "attention"])
+    @pytest.mark.parametrize("x_dtype,param_dtype", [(np.float32, np.float32),
+                                                     (np.float64, np.float64),
+                                                     (np.float32, np.float64)])
+    def test_read_only_operands_give_the_same_bits(self, mixer, x_dtype, param_dtype):
+        model = _randomized_model(mixer, 2, 120, img_size=(224, 224), patch_size=(16, 16),
+                                  embed_dim=256, dim_feedforward=512)
+        model = _mixed(model, param_dtype, param_dtype)
+        cfg = model.config
+        image = randn(Rng(121), (3, 224, 224)).astype(x_dtype)
+        x = randn(Rng(122), (cfg.seq_len, 256)).astype(x_dtype)
+
+        def run(image, x, model):
+            block = model.blocks[0]
+            return {
+                "layer_norm": layer_norm(x, block.gamma1, block.beta1),
+                "feed_forward": feed_forward(x, block),
+                "fit_block": fit_block(x, block, mixer, cfg.num_heads),
+                "fit_forward": fit_forward(image, model),
+            }
+
+        want = run(image.copy(), x.copy(), copy.deepcopy(model))
+        for _, _, value in _arrays(model) + _arrays(image) + _arrays(x):
+            value.flags.writeable = False
+        got = run(image, x, model)
+        dtype = np.result_type(x_dtype, param_dtype)
+        for name, out in got.items():
+            assert out.dtype == want[name].dtype == dtype, name
+            assert out.shape == want[name].shape and out.tobytes() == want[name].tobytes(), name
 
 
 class TestCrossEntropy:
@@ -696,7 +735,7 @@ class TestBenchMixing:
         t = {(r.params, r.method): r.median_ms for r in rows}
         attention_growth = t[("S=2048 d=64", "attention")] / t[("S=512 d=64", "attention")]
         fourier_growth = t[("S=2048 d=64", "fourier")] / t[("S=512 d=64", "fourier")]
-        samples = {(r.params, r.method): r.samples_ms for r in rows}
-        timed = f"medians {t}, samples ms {samples}"
+        samples = {(r.params, r.method): (r.samples_ms, r.minor_faults, r.cpu_ms) for r in rows}
+        timed = f"medians {t}, (samples ms, minor faults, thread CPU ms) {samples}"
         assert attention_growth >= 8.0, timed
         assert fourier_growth <= 8.0, timed

@@ -184,6 +184,20 @@ def test_forward_keeps_f32(bidirectional):
     assert out.dtype == np.float32 and np.max(np.abs(out - want)) <= 1e-3
 
 
+@pytest.mark.parametrize("base_dtype,sig_dtype", [(np.float32, np.float64), (np.float64, np.float32)])
+def test_mixed_precision_is_f64_accurate(base_dtype, sig_dtype):
+    # the taps are prepared at the result dtype, which keys the kept spectrum, so
+    # the spectrum an all-f32 call keeps does not serve the f64 call after it
+    rng = Rng(13)
+    params = GConvParams(width=8, depth=2, base_kernel=randn(rng, (8, 2), base_dtype),
+                         bidirectional=True)
+    sig = randn(rng, (64, 2), sig_dtype)
+    gconv_forward(sig.astype(np.float32), params)
+    got = gconv_forward(sig, params)
+    want = direct_gconv(sig.astype(np.float64), build_kernel(params, 64).astype(np.float64))
+    assert got.dtype == np.float64 and np.max(np.abs(got - want)) <= 1e-10
+
+
 def test_forward_L1_bidirectional():
     params = GConvParams(
         width=1, depth=2, base_kernel=np.array([[2.0, -1.0]]), bidirectional=True

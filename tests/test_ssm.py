@@ -193,6 +193,15 @@ class TestCausalFftConv:
         k, u = randn(rng, (33,)), randn(rng, (33,))
         assert np.max(np.abs(causal_fft_conv(k, u) - direct_causal_conv(k, u))) <= 1e-10
 
+    @pytest.mark.parametrize("k_dtype,u_dtype", [(np.float32, np.float64), (np.float64, np.float32)])
+    def test_mixed_precision_is_f64_accurate(self, k_dtype, u_dtype):
+        # a plain kernel and u both transform in f64, whichever of them is f32
+        rng = Rng(10)
+        k, u = randn(rng, (257,), k_dtype), randn(rng, (257,), u_dtype)
+        got = causal_fft_conv(k, u)
+        want = direct_causal_conv(k.astype(np.float64), u.astype(np.float64))
+        assert got.dtype == np.float64 and np.max(np.abs(got - want)) <= 1e-10
+
     def test_accepts_ssm_kernel_values(self):
         params = hippo_legs(3, "negated")
         params.C = randn(Rng(5), (3,))
