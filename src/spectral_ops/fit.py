@@ -27,6 +27,10 @@ all ones: row 0 of Re(F_S x F_d) is Re(F_d(sum of x's rows)), which is
 fourier_mixing of the [1, d] column sum.  The attention mixer still mixes
 every row and keeps row 0 of its output.  The logits then differ from the
 all-rows forward only in rounding (about 3e-15 at the ViT-Base config).
+The same row-locality lets a block's tail run the bottom half of its rows
+on a short-lived second thread when the process may use more than one CPU
+and each half has two or more rows and 2**22 FF multiply-adds, with the same
+bits.
 
 Chains such as `x @ W.T + b` are plain numpy expressions: numpy reuses a
 large temporary for the next result of its dtype and shape, never an input
@@ -44,9 +48,16 @@ import numpy as np
 
 from . import spectral
 from .errors import ConfigError, InvalidShapeError, require_finite
-from .tensor import Rng, randn, read_tensor, write_tensor
+from .tensor import Rng, _on_two_threads, _usable_cpus, randn, read_tensor, write_tensor
 
 MIXERS = ("fourier", "attention")
+# FF multiply-adds per half (rows/2 * d * dim_feedforward) from which a block
+# tail of at least two rows per half splits its rows over two threads.  Below
+# it a thread start costs more than it saves.  On OpenBLAS 0.3.31 a GEMM over
+# a small half of the rows was not always bit-identical to the whole GEMM:
+# every mismatch seen had a one-row half (a GEMV) or at most 2.4M
+# multiply-adds per half.
+_SPLIT_MACS = 2**22
 
 
 @dataclass(frozen=True)
@@ -256,7 +267,19 @@ def fit_block(x, block: BlockWeights, mixer: str = "fourier", num_heads: int = 1
 
 
 def _block_tail(x, mixed: np.ndarray, block: BlockWeights) -> np.ndarray:
-    """The row-local rest of a block after its mixer: LN1, FF, residual, LN2."""
+    """The row-local rest of a block after its mixer: LN1, FF, residual, LN2.
+    With more than one usable CPU, two or more rows and _SPLIT_MACS of FF work
+    per half, the bottom half of the rows runs on a second thread."""
+    half = len(mixed) // 2
+    # w_ff holds d * dim_feedforward scalars, so this is the FF GEMM's multiply-adds per half
+    if half >= 2 and half * np.size(block.w_ff) >= _SPLIT_MACS and _usable_cpus() > 1:
+        x = np.asarray(x)
+        top, bottom = (x[:half], mixed[:half], block), (x[half:], mixed[half:], block)
+        return np.concatenate(_on_two_threads(_rows_tail, top, bottom))
+    return _rows_tail(x, mixed, block)
+
+
+def _rows_tail(x, mixed: np.ndarray, block: BlockWeights) -> np.ndarray:
     # second residual adds the mixer output itself (reference wiring)
     h = feed_forward(layer_norm(mixed + x, block.gamma1, block.beta1), block) + mixed
     return layer_norm(h, block.gamma2, block.beta2)

@@ -127,14 +127,7 @@ class Rng:
         starts = range(0, pairs, _BLOCK_PAIRS)
         args = (out, step, self._seed, self._counter)
         if len(starts) > 1 and _usable_cpus() > 1:
-            # alternate blocks on a second thread, imported here so that
-            # `import spectral_ops` loads no pool module
-            from concurrent.futures import ThreadPoolExecutor
-
-            with ThreadPoolExecutor(1) as pool:
-                odd = pool.submit(_normal_blocks, *args, starts[1::2])
-                _normal_blocks(*args, starts[0::2])
-                odd.result()
+            _on_two_threads(_normal_blocks, (*args, starts[0::2]), (*args, starts[1::2]))
         else:
             _normal_blocks(*args, starts)
         self._counter += 2 * pairs
@@ -146,6 +139,17 @@ def _usable_cpus() -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
+
+
+def _on_two_threads(fn, first: tuple, second: tuple) -> tuple:
+    """(fn(*first), fn(*second)), the second call on a short-lived second thread
+    joined before the return, which re-raises its exception.  The pool module is
+    imported here, so that `import spectral_ops` loads none."""
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(1) as pool:
+        later = pool.submit(fn, *second)
+        return fn(*first), later.result()
 
 
 def _normal_blocks(out: np.ndarray, step: np.ndarray, seed: int, counter: int, starts) -> None:

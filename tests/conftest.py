@@ -1,3 +1,4 @@
+import os
 import tempfile
 import threading
 
@@ -30,3 +31,14 @@ def thread_starts(monkeypatch):
 
     monkeypatch.setattr(threading.Thread, "start", recording_start)
     return names
+
+
+@pytest.fixture
+def allow_cpus(monkeypatch):
+    """Sets how many CPUs the process's affinity mask reports, which decides
+    whether the library may start a second thread."""
+
+    def allow(count):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+
+    return allow

@@ -244,22 +244,27 @@ class TestImport:
 
 
 def test_default_demo_path_starts_no_thread(tmp_path):
-    # the default config draws no tensor of more than one Rng.normal block, so
-    # no second thread starts
+    # the default config draws no tensor of more than one Rng.normal block and
+    # its block tails stay below the row-split threshold, so no second thread
+    # starts.  `import spectral_ops` loads no concurrent.futures module, and the
+    # demo loads no pool module (scipy.special itself imports concurrent.futures).
     model, image = str(tmp_path / "model"), str(tmp_path / "img.ftns")
     code = (
-        "import threading; started = []; start = threading.Thread.start\n"
+        "import sys, threading; started = []; start = threading.Thread.start\n"
         "threading.Thread.start = lambda self: (started.append(self.name), start(self))\n"
         "import spectral_ops; from spectral_ops import cli\n"
+        "imported = [m for m in sys.modules if m.startswith('concurrent')]\n"
         f"cli.main({['init-model', '--out', model, '--sample-input', image]!r})\n"
         f"cli.main({['demo', '--model', model, '--input', image]!r})\n"
-        "print(started)"
+        "pools = [m for m in ('concurrent.futures.thread', 'concurrent.futures.process')"
+        " if m in sys.modules]\n"
+        "print((started, imported, pools))"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=child_env())
     assert proc.returncode == 0, proc.stderr
-    *demo_lines, started = proc.stdout.splitlines(keepends=True)
-    assert started.strip() == "[]"
+    *demo_lines, loaded = proc.stdout.splitlines(keepends=True)
+    assert loaded.strip() == "([], [], [])"
     demo = run_cli("demo", "--model", model, "--input", image)
     assert demo.returncode == 0 and "".join(demo_lines).endswith(demo.stdout)
 

@@ -1,6 +1,7 @@
 import copy
 import hashlib
 import math
+import threading
 import tracemalloc
 
 import mpmath
@@ -568,6 +569,93 @@ class TestAboveNumpysElisionThreshold:
         for name, out in got.items():
             assert out.dtype == want[name].dtype == dtype, name
             assert out.shape == want[name].shape and out.tobytes() == want[name].tobytes(), name
+
+
+# ViT-Base width at 224x224, patch 16 (S=197): 98 rows per half
+VIT_BASE_WIDTH = dict(img_size=(224, 224), patch_size=(16, 16), embed_dim=768,
+                      dim_feedforward=3072, num_heads=12)
+# S=129, d=128, dim_feedforward=512: 64 rows per half, 64 * 128 * 512 = 2**22 multiply-adds
+AT_SPLIT_THRESHOLD = dict(img_size=(32, 64), patch_size=(4, 4), embed_dim=128,
+                          dim_feedforward=512, num_heads=4)
+WIDE_FF = dict(embed_dim=64, dim_feedforward=65536)
+
+
+class TestTailRowSplit:
+    # With two usable CPUs, a block tail whose halves each have two or more rows
+    # and 2**22 FF multiply-adds runs its bottom rows on a second thread.  Outputs
+    # must equal the one-CPU run bit for bit, and the split must really engage.
+    @pytest.mark.parametrize("geometry", [VIT_BASE_WIDTH, AT_SPLIT_THRESHOLD],
+                             ids=["vit_base_width", "at_threshold"])
+    @pytest.mark.parametrize("mixer", ["fourier", "attention"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_bits_at_one_and_two_cpus(self, geometry, mixer, dtype, thread_starts, allow_cpus):
+        model = _mixed(_randomized_model(mixer, 2, 130, **geometry), dtype, dtype)
+        cfg = model.config
+        image = randn(Rng(131), (3, *cfg.img_size)).astype(dtype)
+        x = randn(Rng(132), (cfg.seq_len, cfg.embed_dim)).astype(dtype)
+
+        def run(cpus):
+            allow_cpus(cpus)
+            thread_starts.clear()
+            outputs = fit_block(x, model.blocks[0], mixer, cfg.num_heads), fit_forward(image, model)
+            return outputs, len(thread_starts)
+
+        (one, one_started), (two, two_started) = run(1), run(2)
+        # fit_block's tail, and fit_forward's first block; its last block runs the CLS row only
+        assert (one_started, two_started) == (0, 2)
+        for a, b in zip(one, two):
+            assert a.dtype == b.dtype == dtype and a.shape == b.shape
+            assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("geometry,rows,started", [
+        (AT_SPLIT_THRESHOLD, 127, 0), (AT_SPLIT_THRESHOLD, 128, 1), (AT_SPLIT_THRESHOLD, 129, 1),
+        # 1 * 64 * 65536 = 2**22 multiply-adds in a one-row half, whose GEMMs
+        # numpy runs as GEMVs, whose bits can differ from the whole GEMM's
+        (WIDE_FF, 2, 0), (WIDE_FF, 3, 0), (WIDE_FF, 4, 1),
+    ])
+    def test_split_starts_at_the_threshold(self, geometry, rows, started, thread_starts,
+                                           allow_cpus):
+        block = _randomized_model("fourier", 1, 133, **geometry).blocks[0]
+        x = randn(Rng(134), (rows, geometry["embed_dim"]))
+        allow_cpus(1)
+        one = fit_block(x, block)
+        allow_cpus(2)
+        thread_starts.clear()
+        assert fit_block(x, block).tobytes() == one.tobytes()
+        assert len(thread_starts) == started
+
+    @pytest.mark.parametrize("mixer", ["fourier", "attention"])
+    def test_default_config_starts_no_thread(self, mixer, thread_starts, allow_cpus):
+        allow_cpus(2)
+        model = init_fit_model(FitConfig(mixer=mixer), Rng(135))
+        fit_forward(randn(Rng(136), (3, 32, 32)), model)
+        assert thread_starts == []
+
+    def test_error_reaches_the_caller_as_on_one_cpu(self, allow_cpus):
+        block = _randomized_model("fourier", 1, 137, **AT_SPLIT_THRESHOLD).blocks[0]
+        block.b_ff = np.zeros(513)  # does not broadcast against [rows, 512]
+        x = randn(Rng(138), (129, 128))
+        for cpus in (1, 2):
+            allow_cpus(cpus)
+            before = threading.active_count()
+            with pytest.raises(ValueError):
+                fit_block(x, block)
+            assert threading.active_count() == before
+
+    def test_worker_half_error_reaches_the_caller(self, allow_cpus, monkeypatch):
+        allow_cpus(2)
+        block = _randomized_model("fourier", 1, 137, **AT_SPLIT_THRESHOLD).blocks[0]
+
+        def gelu_failing_off_the_main_thread(t):
+            if threading.current_thread() is not threading.main_thread():
+                raise FloatingPointError("worker half")
+            return gelu(t)
+
+        monkeypatch.setattr("spectral_ops.fit.gelu", gelu_failing_off_the_main_thread)
+        before = threading.active_count()
+        with pytest.raises(FloatingPointError, match="worker half"):
+            fit_block(randn(Rng(138), (129, 128)), block)
+        assert threading.active_count() == before
 
 
 class TestCrossEntropy:

@@ -1,6 +1,5 @@
 import hashlib
 import multiprocessing
-import os
 import random
 import struct
 import threading
@@ -114,17 +113,12 @@ def test_normal_scratch_is_block_sized():
     assert peak <= z.nbytes + 4 * 2**20
 
 
-def _allow_cpus(monkeypatch, count):
-    # the process's affinity mask, which decides whether a draw may split
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
-
-
 @pytest.mark.parametrize("cpus", [1, 2])
 @pytest.mark.parametrize("blocks", [1, 2, 3, 5])
-def test_normal_bits_do_not_depend_on_the_split(blocks, cpus, thread_starts, monkeypatch):
+def test_normal_bits_do_not_depend_on_the_split(blocks, cpus, thread_starts, allow_cpus):
     # with two usable CPUs, draws of more than one block deal alternate blocks
     # to a second thread; each n is odd and ends in a ragged block of 12,345 pairs
-    _allow_cpus(monkeypatch, cpus)
+    allow_cpus(cpus)
     n = 2 * ((blocks - 1) * 2**15 + 12_345) - 1
     rng = Rng(2**64 - 1)
     assert np.array_equal(rng.normal(n), _reference_normal(2**64 - 1, 0, n))
@@ -132,15 +126,15 @@ def test_normal_bits_do_not_depend_on_the_split(blocks, cpus, thread_starts, mon
     assert len(thread_starts) == (blocks > 1 and cpus > 1)
 
 
-def test_no_thread_outlives_a_multi_block_draw(thread_starts, monkeypatch):
-    _allow_cpus(monkeypatch, 2)
+def test_no_thread_outlives_a_multi_block_draw(thread_starts, allow_cpus):
+    allow_cpus(2)
     before = threading.active_count()
     init_fit_model(FitConfig(embed_dim=256, dim_feedforward=512, depth=1), Rng(1))
     assert thread_starts and threading.active_count() == before
 
 
-def test_worker_half_error_reaches_the_caller(monkeypatch):
-    _allow_cpus(monkeypatch, 2)
+def test_worker_half_error_reaches_the_caller(allow_cpus, monkeypatch):
+    allow_cpus(2)
     real_log = np.log
 
     def log(*args, **kwargs):
@@ -160,9 +154,9 @@ def _send_digest(conn):
     conn.close()
 
 
-def test_fork_child_draws_the_parents_stream(thread_starts, monkeypatch):
+def test_fork_child_draws_the_parents_stream(thread_starts, allow_cpus):
     # the parent splits a draw first, so the child forks after a second thread ran
-    _allow_cpus(monkeypatch, 2)
+    allow_cpus(2)
     expected = hashlib.sha256(Rng(5).normal(5 * 2**15 + 3).tobytes()).hexdigest()
     assert thread_starts
     ctx = multiprocessing.get_context("fork")
