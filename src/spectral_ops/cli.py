@@ -44,6 +44,13 @@ def _int_list(text: str) -> list[int]:
     return values
 
 
+def _seq_len_list(text: str) -> list[int]:
+    values = _int_list(text)
+    if min(values) < 32:  # bench_seq's gconv base kernel is 32 wide
+        raise argparse.ArgumentTypeError(f"expected lengths >= 32, got {text!r}")
+    return values
+
+
 def cmd_verify(args) -> int:
     results = verify.run_suites([args.suite] if args.suite else None)
     width = max(len(f"{r.suite}/{r.check}") for r in results)
@@ -133,7 +140,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_seq = bench_sub.add_parser("seq", parents=[common],
                                  help="ssm_kernel and bidirectional gconv_forward")
-    p_seq.add_argument("--seq-lens", type=_int_list, default=[1024, 4096, 16384, 65536],
+    p_seq.add_argument("--seq-lens", type=_seq_len_list, default=[1024, 4096, 16384, 65536],
                        help="lengths, each >= 32 (default: 1024,4096,16384,65536)")
 
     p_demo = sub.add_parser("demo", help="forward pass of a saved model on an FTNS input")

@@ -53,6 +53,8 @@ def _check_operands(image, kernel, bias, mode):
             f"channel mismatch: image has {img.shape[0]} channels, "
             f"kernel has {ker.shape[0]}"
         )
+    if np.iscomplexobj(img) or np.iscomplexobj(ker):
+        raise InvalidShapeError("image and kernel must be real")
     if 0 in img.shape[1:] + ker.shape[1:]:
         raise InvalidShapeError(f"zero extent in image {img.shape} or kernel {ker.shape}")
     if mode not in MODES:

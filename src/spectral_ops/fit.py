@@ -238,6 +238,9 @@ def attention_mixing(x, block: BlockWeights, num_heads: int, return_weights: boo
     s, d = x.shape
     if num_heads < 1 or d % num_heads:
         raise ConfigError(f"num_heads {num_heads} is not a positive divisor of embed_dim {d}")
+    missing = [f"{p}_{n}" for n in "qkvo" for p in "wb" if getattr(block, f"{p}_{n}") is None]
+    if missing:
+        raise ConfigError(f"the attention mixer needs the block's {', '.join(missing)}")
     dk = d // num_heads
 
     def heads(m):

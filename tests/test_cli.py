@@ -72,10 +72,17 @@ class TestVerifyCommand:
         with pytest.raises(KeyError):
             verify.run_suites(["nonsense"])
 
-    def test_inventory_is_pinned(self):
+    @pytest.mark.parametrize("suite", verify.SUITES)
+    def test_suite_rows_pass(self, verify_rows, suite):
+        rows, _ = verify_rows[suite]
+        failed = [f"{r.check} (max-err {r.max_err:.3e}, tol {r.tol:.3e})"
+                  for r in rows if not r.passed]
+        assert not failed, f"{suite} failed: " + "; ".join(failed)
+
+    def test_inventory_is_pinned(self, verify_rows):
         # every check, in order, under its suite and at its tolerance: a
         # dropped, renamed, moved or loosened check changes this list
-        results = verify.run_suites()
+        results = [r for rows, _ in verify_rows.values() for r in rows]
         assert [(r.suite, r.check, r.tol) for r in results] == [
             ("tensor", "randn-determinism", 0.0),
             ("tensor", "randn-moments-mean", 0.1),
@@ -204,6 +211,13 @@ class TestBenchCommands:
             main(["bench", *args])
         assert exc.value.code == 2
         assert "expected a positive integer" in capsys.readouterr().err
+
+    def test_seq_length_below_32_is_usage_error(self, capsys):
+        # the sequence layers' base kernel is 32 wide, as `bench seq --help` says
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", "seq", "--seq-lens", "64,16", "--repeats", "1"])
+        assert exc.value.code == 2
+        assert "expected lengths >= 32, got '64,16'" in capsys.readouterr().err
 
     def test_non_integer_seed_env_is_usage_error(self, monkeypatch, capsys):
         monkeypatch.setenv("SPECTRAL_OPS_SEED", "abc")

@@ -3,6 +3,7 @@ import hashlib
 import math
 import threading
 import tracemalloc
+from dataclasses import replace
 
 import mpmath
 import numpy as np
@@ -268,6 +269,14 @@ class TestAttention:
     def test_rejects_bad_rank(self, shape):
         with pytest.raises(InvalidShapeError):
             attention_mixing(np.zeros(shape), attention_block(Rng(23), 16), 4)
+
+    def test_block_without_attention_weights_rejected(self):
+        fourier_block = init_fit_model(small_config(), Rng(1)).blocks[0]
+        with pytest.raises(ConfigError, match="needs the block's w_q, b_q, w_k, .*, b_o$"):
+            fit_block(randn(Rng(24), (5, 16)), fourier_block, "attention", 4)
+        partial = replace(attention_block(Rng(25), 8), b_v=None)
+        with pytest.raises(ConfigError, match="needs the block's b_v$"):
+            attention_mixing(randn(Rng(26), (4, 8)), partial, 2)
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite_input(self, value):
