@@ -21,18 +21,31 @@ real pass runs over an operand's own rows only (bit for bit ``rfftn``), and
 the inverse real pass over the kept rows only.  It is ``prepare_conv``, which
 transforms one operand into an immutable ``PreparedConv``, then its
 ``apply``: a caller with a fixed kernel keeps the prepared half and pays only
-for the signal's transforms.  The direct-form references
+for the signal's transforms.  A one-off convolution releases its prepared
+spectrum right after the product, before the inverse passes.  A convolution
+whose transforms cover at least ``_SPLIT_POINTS`` points runs half of its
+leading-axis lines on a short-lived second thread when the process may use
+more than one CPU; every line transforms alone, so the bits are the same.
+The direct-form references
 these routes are verified against, ``dft_naive`` among them, live in
 ``oracles.py``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import InvalidShapeError
+from .tensor import _on_two_threads, _usable_cpus
+
+# lines x transform lengths at and above which a convolution splits its lines
+# over two threads: conv_grid's n=512 cases (3 x 540 x 540) and long_seq's
+# gconv (8 x 32768) split; its n <= 224 cases (at most 3 x 256 x 256) ran
+# slower split
+_SPLIT_POINTS = 2**18
 
 
 def rfft2(x) -> np.ndarray:
@@ -89,21 +102,48 @@ def linear_fft_conv(a, b, axes, crop=None) -> np.ndarray:
     Both operands transform at the precision of np.result_type(a, b).
     """
     a, b = np.asarray(a), np.asarray(b)
-    return prepare_conv(np.asarray(a, np.result_type(a, b)), b.shape, axes, crop).apply(b)
+    a = np.asarray(a, np.result_type(a, b))
+    axes, _, lengths, windows = _plan(a, b.shape, axes, crop)
+    halves = _halves(a, b, axes, lengths)
+    if halves:
+        return np.concatenate(_on_two_threads(_one_off, *((x, y, axes, windows) for x, y in halves)))
+    return _one_off(a, b, axes, windows)
 
 
-def prepare_conv(a, b_shape, axes, crop=None) -> PreparedConv:
-    """`a` transformed once, so that .apply(b) is linear_fft_conv(a, b, axes,
-    crop) for any `b` of shape `b_shape`, transforming only `b`.
+def _one_off(a, b, axes, crop) -> np.ndarray:
+    """prepare_conv(a, b.shape, axes, crop).apply(b) on this thread, with a's
+    spectrum released right after the product, before the inverse passes."""
+    conv = prepare_conv(a, b.shape, axes, crop)
+    spec, geometry = conv._product(conv._checked(b)), (conv.lengths, conv.axes, conv.windows)
+    del conv
+    return _inverse(spec, *geometry)
 
-    Each axis transforms at the smallest 5-smooth n >= max(stop, S - start)
-    that also holds both operands.  Proof that the window is alias-free: a
-    length-n circular convolution gives sum_k full[p + k*n], and for
-    start <= p < stop <= n every term with k != 0 lies outside [0, S).
-    """
+
+def _halves(other, b, axes, lengths) -> list:
+    """[(other, b) for the first ceil(lines/2) lines, then for the rest], to run
+    on two threads, or [] to run whole: b needs a leading axis outside `axes`
+    with two or more lines that `other` (the other operand or a prepared
+    spectrum, of no higher rank) matches or broadcasts, transforms covering
+    _SPLIT_POINTS points (lines x lengths), and a second usable CPU."""
+    lines = b.shape[0] if -b.ndim not in axes else 1
+    if lines < 2 or lines * math.prod(lengths) < _SPLIT_POINTS:
+        return []
+    try:
+        joint = np.broadcast_shapes(*(tuple(1 if i - len(s) in axes else e for i, e in enumerate(s))
+                                      for s in (other.shape, b.shape)))
+    except ValueError:  # the one-thread path raises it, about the whole operands
+        return []
+    if len(joint) != b.ndim or joint[0] != lines or _usable_cpus() < 2:
+        return []
+    cut = (lines + 1) // 2
+    shared = other.ndim < b.ndim or other.shape[0] == 1
+    return [(other if shared else other[part], b[part]) for part in (slice(cut), slice(cut, None))]
+
+
+def _plan(a, b_shape, axes, crop):
+    """prepare_conv's checks, then its (axes, extents, lengths, windows)."""
     import scipy.fft
 
-    a = np.asarray(a)
     if a.ndim != len(b_shape):
         raise InvalidShapeError(f"operand ranks differ: {a.ndim} and {len(b_shape)}")
     if np.iscomplexobj(a):
@@ -121,6 +161,20 @@ def prepare_conv(a, b_shape, axes, crop=None) -> PreparedConv:
         raise InvalidShapeError(f"crop {crop} is not one window inside each support {supports}")
     lengths = tuple(scipy.fft.next_fast_len(max(hi, s - lo, a.shape[ax], e, 1), real=True)
                     for (lo, hi), s, ax, e in zip(windows, supports, axes, extents))
+    return axes, extents, lengths, windows
+
+
+def prepare_conv(a, b_shape, axes, crop=None) -> PreparedConv:
+    """`a` transformed once, so that .apply(b) is linear_fft_conv(a, b, axes,
+    crop) for any `b` of shape `b_shape`, transforming only `b`.
+
+    Each axis transforms at the smallest 5-smooth n >= max(stop, S - start)
+    that also holds both operands.  Proof that the window is alias-free: a
+    length-n circular convolution gives sum_k full[p + k*n], and for
+    start <= p < stop <= n every term with k != 0 lies outside [0, S).
+    """
+    a = np.asarray(a)
+    axes, extents, lengths, windows = _plan(a, b_shape, axes, crop)
     spectrum = _pruned_rfftn(a, lengths, axes)
     spectrum.flags.writeable = False
     return PreparedConv(spectrum, extents, lengths, axes, windows)
@@ -140,16 +194,26 @@ class PreparedConv:
 
     def apply(self, b) -> np.ndarray:
         """The kept window of the convolution with `b`; other axes broadcast."""
-        import scipy.fft
+        b = self._checked(b)
+        halves = _halves(self.spectrum, b, self.axes, self.lengths)
+        if halves:
+            return np.concatenate(_on_two_threads(
+                _convolve, *((replace(self, spectrum=s), part) for s, part in halves)))
+        return _convolve(self, b)
 
+    def _checked(self, b) -> np.ndarray:
+        # `b` real, with the prepared extents, and at least at the spectrum's
+        # precision, so that an f32 `b` cannot cap an f64 result
         b = np.asarray(b)
         if np.iscomplexobj(b):
             raise InvalidShapeError("linear_fft_conv expects real operands")
         if b.ndim < -min(self.axes) or tuple(b.shape[ax] for ax in self.axes) != self.extents:
             raise InvalidShapeError(f"shape {b.shape} lacks the extents {self.extents} "
                                     f"prepared for axes {self.axes}")
-        # at least the spectrum's precision, so that an f32 `b` cannot cap an f64 result
-        b = np.asarray(b, np.result_type(b, np.finfo(self.spectrum.dtype).dtype))
+        return np.asarray(b, np.result_type(b, np.finfo(self.spectrum.dtype).dtype))
+
+    def _product(self, b) -> np.ndarray:
+        # the spectrum of a checked `b` times the prepared one
         spec = _pruned_rfftn(b, self.lengths, self.axes)
         try:
             fits = np.broadcast_shapes(self.spectrum.shape, spec.shape) == spec.shape
@@ -159,11 +223,20 @@ class PreparedConv:
                                     f"{self.axes}") from None
         # the prepared spectrum stays the left factor, because with fused
         # multiply-adds a complex product is not bitwise commutative
-        spec = np.multiply(self.spectrum, spec, out=spec if fits else None)
-        # pruned inverse: the complex passes run in place and keep only their
-        # window's rows, so the real pass runs over the kept rows alone
-        kept = [(..., slice(*w)) + (slice(None),) * (-1 - ax)
-                for ax, w in zip(self.axes, self.windows)]
-        for ax, index in zip(self.axes[:-1], kept):
-            spec = scipy.fft.ifft(spec, None, ax, overwrite_x=True)[index]
-        return scipy.fft.irfft(spec, self.lengths[-1], self.axes[-1])[kept[-1]]
+        return np.multiply(self.spectrum, spec, out=spec if fits else None)
+
+
+def _convolve(conv: PreparedConv, b) -> np.ndarray:
+    return _inverse(conv._product(b), conv.lengths, conv.axes, conv.windows)
+
+
+def _inverse(spec, lengths, axes, windows) -> np.ndarray:
+    """The kept windows of the inverse transform of a product spectrum."""
+    import scipy.fft
+
+    # pruned: the complex passes run in place and keep only their window's
+    # rows, so the real pass runs over the kept rows alone
+    kept = [(..., slice(*w)) + (slice(None),) * (-1 - ax) for ax, w in zip(axes, windows)]
+    for ax, index in zip(axes[:-1], kept):
+        spec = scipy.fft.ifft(spec, None, ax, overwrite_x=True)[index]
+    return scipy.fft.irfft(spec, lengths[-1], axes[-1])[kept[-1]]

@@ -1,6 +1,7 @@
 import ast
 import re
-from dataclasses import FrozenInstanceError
+import threading
+from dataclasses import FrozenInstanceError, replace
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +12,7 @@ import spectral_ops
 from spectral_ops import (
     GConvParams,
     InvalidShapeError,
+    NonFiniteError,
     Rng,
     causal_fft_conv,
     dft_naive,
@@ -266,6 +268,147 @@ class TestPreparedConv:
         for b in (np.ones((3, 4)), np.ones((2, 3, 4))):
             with pytest.raises(InvalidShapeError, match=r"\(5, 5\)"):
                 conv.apply(b)
+
+
+# conv_grid's cases: C=3, (mode, dtype, n, m)
+CONV_GRID_CASES = (
+    [("same", np.float32, n, m) for n in (64, 224, 512) for m in (3, 31)]
+    + [(mode, np.float32, 224, 31) for mode in ("full", "valid", "circular")]
+    + [("same", np.float64, 224, m) for m in (3, 31)]
+)
+
+
+class TestLineSplit:
+    # With two usable CPUs, a convolution whose transforms cover 2**18 points
+    # (lines x transform lengths) runs half of b's leading-axis lines on a
+    # second thread.  Outputs must equal the one-CPU run bit for bit, and the
+    # split must really engage.
+    @staticmethod
+    def run_at(cpus, fn, thread_starts, allow_cpus):
+        allow_cpus(cpus)
+        thread_starts.clear()
+        before = threading.active_count()
+        out = fn()
+        assert threading.active_count() == before
+        return out, len(thread_starts)
+
+    def assert_bits(self, fn, started, thread_starts, allow_cpus, contiguous=True):
+        (one, one_started), (two, two_started) = (
+            self.run_at(cpus, fn, thread_starts, allow_cpus) for cpus in (1, 2))
+        assert (one_started, two_started) == (0, started)
+        for a, b in zip(one, two):
+            assert a.dtype == b.dtype and a.shape == b.shape
+            assert a.tobytes() == b.tobytes()
+            # a split result is a fresh concatenation; a whole one may be a window
+            assert b.flags.c_contiguous and (a.flags.c_contiguous or not contiguous)
+
+    @pytest.mark.parametrize("mode", ["full", "same", "valid", "circular"])
+    @pytest.mark.parametrize("m", [3, 31])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_xcorr_at_n512(self, mode, m, dtype, thread_starts, allow_cpus):
+        rng = Rng(60 + m)
+        img, ker = randn(rng, (3, 512, 512), dtype), randn(rng, (3, m, m), dtype)
+        bias = randn(rng, (3,), dtype)
+        # three lines: two on the caller's thread, one on the second
+        self.assert_bits(lambda: [fft_xcorr2d(img, ker, bias, mode)], 1,
+                         thread_starts, allow_cpus)
+
+    def test_circular_conv(self, thread_starts, allow_cpus):
+        rng = Rng(62)
+        img, ker = randn(rng, (3, 512, 512)), randn(rng, (3, 31, 31))
+        self.assert_bits(lambda: [fft_circular_conv2d(img, ker)], 1, thread_starts, allow_cpus)
+
+    def test_broadcast_operands(self, thread_starts, allow_cpus):
+        rng = Rng(63)
+        # a shared [1, N] operand against five lines (3 + 2), and a [4, 1, N]
+        # operand whose second axis broadcasts up to b's three columns
+        a1, b1 = randn(rng, (1, 60000)), randn(rng, (5, 500))
+        a2, b2 = randn(rng, (4, 1, 70000)), randn(rng, (4, 3, 200))
+        self.assert_bits(lambda: [linear_fft_conv(a1, b1, (1,)),
+                                  linear_fft_conv(a2, b2, (-1,), [(100, 60100)])], 2,
+                         thread_starts, allow_cpus, contiguous=False)
+
+    @pytest.mark.parametrize("bidirectional", [False, True])
+    def test_kept_gconv_spectrum(self, bidirectional, thread_starts, allow_cpus):
+        rng = Rng(64)
+        params = GConvParams(width=32, depth=8, base_kernel=randn(rng, (32, 8)),
+                             bidirectional=bidirectional, bias=randn(rng, (8,)))
+        signal = randn(rng, (16384, 8))
+
+        def twice():
+            fresh = replace(params)  # the first call prepares the spectrum, the second reuses it
+            return [gconv_forward(signal, fresh), gconv_forward(signal, fresh)]
+
+        # 8 lines x 32768 points = 2**18, from the first call's apply on
+        self.assert_bits(twice, 2, thread_starts, allow_cpus)
+
+    def test_batched_causal_conv_shares_the_kernel_spectrum(self, thread_starts, allow_cpus):
+        rng = Rng(65)
+        kernel, u = randn(rng, (16384,)), randn(rng, (9, 16384))
+        self.assert_bits(lambda: [causal_fft_conv(kernel, u)], 1, thread_starts, allow_cpus,
+                         contiguous=False)
+
+    @pytest.mark.parametrize("lines,started", [(1, 0), (7, 0), (8, 1), (9, 1)])
+    def test_split_starts_at_the_threshold(self, lines, started, thread_starts, allow_cpus):
+        # causal convolutions at L=16384 transform 32768 points per line
+        allow_cpus(2)
+        thread_starts.clear()
+        causal_fft_conv(np.ones(16384), np.ones((lines, 16384)))
+        assert len(thread_starts) == started
+
+    def test_only_the_n512_conv_grid_cases_split(self, thread_starts, allow_cpus):
+        allow_cpus(2)
+        for mode, dtype, n, m in CONV_GRID_CASES:
+            img, ker = np.ones((3, n, n), dtype), np.ones((3, m, m), dtype)
+            thread_starts.clear()
+            fft_xcorr2d(img, ker, mode=mode)
+            assert len(thread_starts) == (n == 512), (mode, dtype, n, m)
+        # long_seq's per-channel causal convolution: one line
+        thread_starts.clear()
+        causal_fft_conv(np.ones(16384), np.ones(16384))
+        assert thread_starts == []
+
+    def test_errors_read_the_same_at_one_and_two_cpus(self, thread_starts, allow_cpus):
+        nan_image = np.ones((3, 512, 512))
+        nan_image[2, 7, 7] = np.nan
+        calls = [
+            lambda: fft_xcorr2d(nan_image, np.ones((3, 3, 3))),
+            lambda: causal_fft_conv(np.ones(16384), np.full((8, 16384), np.inf)),
+            # the axes outside the convolved one must broadcast: (2, .) against (3, .)
+            lambda: linear_fft_conv(np.ones((4, 2, 70000)), np.ones((4, 3, 200)), (-1,)),
+            lambda: prepare_conv(np.ones((8, 16384)), (8, 16384), (1,)).apply(np.ones((8, 100))),
+        ]
+        for call in calls:
+            messages = []
+            for cpus in (1, 2):
+                allow_cpus(cpus)
+                thread_starts.clear()
+                with pytest.raises((InvalidShapeError, NonFiniteError)) as exc:
+                    call()
+                messages.append((type(exc.value), str(exc.value)))
+                assert thread_starts == []
+            assert messages[0] == messages[1]
+
+    @pytest.mark.parametrize("site", ["one-off", "kept"])
+    def test_worker_half_error_reaches_the_caller(self, site, allow_cpus, monkeypatch):
+        allow_cpus(2)
+        real = spectral._inverse
+
+        def inverse_failing_off_the_main_thread(*args):
+            if threading.current_thread() is not threading.main_thread():
+                raise FloatingPointError("worker half")
+            return real(*args)
+
+        monkeypatch.setattr(spectral, "_inverse", inverse_failing_off_the_main_thread)
+        if site == "one-off":
+            call = lambda: fft_xcorr2d(np.ones((3, 512, 512)), np.ones((3, 3, 3)))  # noqa: E731
+        else:
+            conv = prepare_conv(np.ones(16384), (16384,), (-1,), [(0, 16384)])
+            call = lambda: conv.apply(np.ones((8, 16384)))  # noqa: E731
+        before = threading.active_count()
+        with pytest.raises(FloatingPointError, match="worker half"):
+            call()
+        assert threading.active_count() == before
 
 
 def _five_smooth(n):
