@@ -70,6 +70,8 @@ def _check_operands(image, kernel, bias, mode):
             raise InvalidShapeError(
                 f"bias must have shape [{img.shape[0]}], got {b.shape}"
             )
+        if np.iscomplexobj(b):
+            raise InvalidShapeError("bias must be real")
     require_finite(image=img, kernel=ker, bias=bias)
     return img, ker
 

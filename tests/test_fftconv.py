@@ -117,13 +117,19 @@ def test_zero_extent_operand_rejected(op, mode, img_shape, ker_shape):
         op(np.zeros(img_shape), np.zeros(ker_shape), mode=mode)
 
 
-@pytest.mark.parametrize("op", [direct_xcorr2d, fft_xcorr2d, fft_circular_conv2d])
-@pytest.mark.parametrize("operand", ["image", "kernel"])
-def test_complex_operand_rejected(op, operand):
+@pytest.mark.parametrize("operand,op", [
+    (operand, op) for operand in ("image", "kernel")
+    for op in (direct_xcorr2d, fft_xcorr2d, fft_circular_conv2d)
+] + [("bias", direct_xcorr2d), ("bias", fft_xcorr2d)])
+def test_complex_operand_rejected(operand, op):
     args = {"image": np.ones((1, 4, 4)), "kernel": np.ones((1, 3, 3))}
-    args[operand] = args[operand] + 0j
-    with pytest.raises(InvalidShapeError, match="^image and kernel must be real$"):
-        op(args["image"], args["kernel"])
+    if operand == "bias":  # numpy would drop its imaginary part with only a ComplexWarning
+        args["bias"] = np.array([1 + 2j])
+    else:
+        args[operand] = args[operand] + 0j
+    message = "bias must be real" if operand == "bias" else "image and kernel must be real"
+    with pytest.raises(InvalidShapeError, match=f"^{message}$"):
+        op(**args)
 
 
 def test_unknown_mode_rejected():
