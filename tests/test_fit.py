@@ -260,6 +260,23 @@ class TestAttention:
         expected = (weights @ v) @ block.w_o.T + block.b_o
         assert np.max(np.abs(attention_mixing(x, block, 1) - expected)) <= 1e-12
 
+    def test_two_head_hand_reference(self):
+        # d = 8 over 2 heads: each head scales its scores by 1/sqrt(d_k) = 1/2,
+        # not by 1/sqrt(d), and attends with its own 4 columns of Q, K and V
+        block = attention_block(Rng(27), 8)
+        x = randn(Rng(28), (5, 8))
+        q = x @ block.w_q.T + block.b_q
+        k = x @ block.w_k.T + block.b_k
+        v = x @ block.w_v.T + block.b_v
+        ctx = []
+        for h in (slice(0, 4), slice(4, 8)):
+            scores = q[:, h] @ k[:, h].T / 2.0
+            weights = np.exp(scores - scores.max(axis=-1, keepdims=True))
+            weights /= weights.sum(axis=-1, keepdims=True)
+            ctx.append(weights @ v[:, h])
+        expected = np.concatenate(ctx, axis=1) @ block.w_o.T + block.b_o
+        assert np.max(np.abs(attention_mixing(x, block, 2) - expected)) <= 1e-12
+
     def test_rejects_indivisible_heads(self):
         for heads in (4, 0, -2):
             with pytest.raises(ConfigError):
