@@ -6,10 +6,15 @@ parallel; a sample is an untimed call of a case and at once its timed call
 sweeps list their cases method by method, so the cases a ratio compares run
 side by side and see the same host state.  Rows report the median and carry a
 checksum (first element of the last output): timed work cannot be elided.
+The JSON document adds each row's spread and per-sample counts, and the
+environment the samples were taken in.
 """
 
 from __future__ import annotations
 
+import json
+import os
+import platform
 import time
 from dataclasses import dataclass, replace
 
@@ -19,6 +24,9 @@ from . import fftconv, fit, gconv, ssm
 from .tensor import Rng, randn
 
 CSV_HEADER = "suite,params,method,median_ms,repeats,checksum"
+# the variables that size BLAS and OpenMP thread pools
+THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+               "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")
 
 
 @dataclass
@@ -69,6 +77,37 @@ def write_csv(rows, fh) -> None:
             f"{row.suite},{row.params},{row.method},"
             f"{row.median_ms:.6f},{row.repeats},{row.checksum:.9g}\n"
         )
+
+
+def environment() -> dict:
+    """Versions, BLAS, CPU count, affinity mask and thread variables of this process."""
+    import scipy
+
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    affinity = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else None
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "blas": f"{blas.get('name')} {blas.get('version')}",
+        "cpu_count": os.cpu_count(),
+        "cpu_affinity": None if affinity is None else sorted(affinity),
+        "thread_vars": {var: os.environ.get(var) for var in THREAD_VARS},
+    }
+
+
+def write_json(rows, fh) -> None:
+    """One JSON document: the environment, then the rows in write_csv's order,
+    each with min/median/p90 over its n samples and the per-sample lists."""
+    doc = {"environment": environment(), "rows": [
+        {"suite": row.suite, "params": row.params, "method": row.method,
+         "min_ms": min(row.samples_ms), "median_ms": row.median_ms,
+         "p90_ms": float(np.percentile(row.samples_ms, 90)), "n": len(row.samples_ms),
+         "checksum": row.checksum, "samples_ms": list(row.samples_ms),
+         "minor_faults": list(row.minor_faults), "cpu_ms": list(row.cpu_ms)}
+        for row in sorted(rows, key=lambda r: (r.params, r.method))
+    ]}
+    fh.write(json.dumps(doc, indent=1) + "\n")
 
 
 def bench_seq(seq_lens, repeats: int = 5, seed: int = 42):

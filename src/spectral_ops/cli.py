@@ -1,4 +1,4 @@
-"""Command-line interface: verification suites, benchmark CSV sweeps, and
+"""Command-line interface: verification suites, benchmark sweeps, and
 demo forward passes over FTNS inputs.
 
 Exit codes: 0 success, 1 runtime/I-O failure (including failed verification),
@@ -71,11 +71,12 @@ def cmd_bench(args) -> int:
         rows = bench.bench_mixing(args.seq_lens, args.dim, repeats=args.repeats, seed=seed)
     else:
         rows = bench.bench_seq(args.seq_lens, repeats=args.repeats, seed=seed)
+    write = bench.write_json if args.json else bench.write_csv
     if args.out:
         with open(args.out, "w") as fh:
-            bench.write_csv(rows, fh)
+            write(rows, fh)
     else:
-        bench.write_csv(rows, sys.stdout)
+        write(rows, sys.stdout)
     return 0
 
 
@@ -121,12 +122,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--suite", choices=sorted(verify.SUITES), help="run one suite only")
     p_verify.set_defaults(func=cmd_verify)
 
-    p_bench = sub.add_parser("bench", help="timing sweeps, CSV output")
+    p_bench = sub.add_parser("bench", help="timing sweeps, CSV or JSON output")
     p_bench.set_defaults(func=cmd_bench)
     bench_sub = p_bench.add_subparsers(dest="bench_kind", required=True)
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--repeats", type=_positive_int, default=5)
     common.add_argument("--out", type=Path, default=None)
+    common.add_argument("--json", action="store_true",
+                        help="one JSON document with each row's spread and the environment")
 
     p_conv = bench_sub.add_parser("conv", parents=[common],
                                   help="direct vs FFT same-mode correlation")

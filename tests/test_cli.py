@@ -1,5 +1,6 @@
 import csv
 import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -173,6 +174,30 @@ class TestBenchCommands:
         rows = [line.split(",") for line in lines[1:]]
         assert {(r[0], r[1]) for r in rows} == {("seq", "L=32"), ("seq", "L=64")}
         assert {r[2] for r in rows} == {"ssm_kernel", "gconv_forward"}
+
+    def test_json_document(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        out = tmp_path / "seq.json"
+        assert main(["bench", "seq", "--seq-lens", "64,32", "--repeats", "3", "--json",
+                     "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        env = doc["environment"]
+        assert set(env) == {"python", "numpy", "scipy", "blas", "cpu_count", "cpu_affinity",
+                            "thread_vars"}
+        assert env["numpy"] == np.__version__ and env["cpu_count"] == os.cpu_count()
+        assert env["cpu_affinity"] == sorted(os.sched_getaffinity(0))
+        assert env["thread_vars"]["OPENBLAS_NUM_THREADS"] == "1"
+        # write_csv's order and fields, with the spread and the samples beside them
+        assert [(r["params"], r["method"]) for r in doc["rows"]] == [
+            ("L=32", "gconv_forward"), ("L=32", "ssm_kernel"),
+            ("L=64", "gconv_forward"), ("L=64", "ssm_kernel")]
+        for r in doc["rows"]:
+            assert r["n"] == len(r["samples_ms"]) == len(r["minor_faults"]) == len(r["cpu_ms"]) == 3
+            assert r["min_ms"] == min(r["samples_ms"])
+            assert r["median_ms"] == sorted(r["samples_ms"])[1]
+            assert r["min_ms"] <= r["median_ms"] <= r["p90_ms"] <= max(r["samples_ms"])
+            assert all(isinstance(f, int) and f >= 0 for f in r["minor_faults"])
+            assert r["suite"] == "seq" and np.isfinite(r["checksum"])
 
     def test_seq_times_first_calls(self, monkeypatch):
         # every call, untimed ones included, builds its kernel: no cache hit is timed
