@@ -12,7 +12,6 @@ environment the samples were taken in.
 
 from __future__ import annotations
 
-import json
 import os
 import platform
 import time
@@ -83,13 +82,17 @@ def environment() -> dict:
     """Versions, BLAS, CPU count, affinity mask and thread variables of this process."""
     import scipy
 
-    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    try:  # older numpy releases take no mode and only print their build config
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas = f"{blas.get('name')} {blas.get('version')}"
+    except (TypeError, KeyError):
+        blas = None
     affinity = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else None
     return {
         "python": platform.python_version(),
         "numpy": np.__version__,
         "scipy": scipy.__version__,
-        "blas": f"{blas.get('name')} {blas.get('version')}",
+        "blas": blas,
         "cpu_count": os.cpu_count(),
         "cpu_affinity": None if affinity is None else sorted(affinity),
         "thread_vars": {var: os.environ.get(var) for var in THREAD_VARS},
@@ -98,7 +101,10 @@ def environment() -> dict:
 
 def write_json(rows, fh) -> None:
     """One JSON document: the environment, then the rows in write_csv's order,
-    each with min/median/p90 over its n samples and the per-sample lists."""
+    each with min/median/p90 over its n samples and the per-sample lists.
+    json is imported here, so that the CSV and `demo` paths do not load it."""
+    import json
+
     doc = {"environment": environment(), "rows": [
         {"suite": row.suite, "params": row.params, "method": row.method,
          "min_ms": min(row.samples_ms), "median_ms": row.median_ms,

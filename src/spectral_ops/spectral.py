@@ -42,10 +42,10 @@ from .errors import InvalidShapeError
 from .tensor import _on_two_threads, _usable_cpus
 
 # lines x transform lengths at and above which a convolution splits its lines
-# over two threads: conv_grid's n=512 cases (3 x 540 x 540) and long_seq's
-# gconv (8 x 32768) split; its n <= 224 cases (at most 3 x 256 x 256) ran
-# slower split
-_SPLIT_POINTS = 2**18
+# over two threads: conv_grid's n=512 cases (3 x 540 x 540) split; its n <= 224
+# cases (at most 3 x 256 x 256) ran slower split, and long_seq's gconv
+# (8 x 32768) stays whole
+_SPLIT_POINTS = 2**19
 
 
 def rfft2(x) -> np.ndarray:
@@ -104,10 +104,7 @@ def linear_fft_conv(a, b, axes, crop=None) -> np.ndarray:
     a, b = np.asarray(a), np.asarray(b)
     a = np.asarray(a, np.result_type(a, b))
     axes, _, lengths, windows = _plan(a, b.shape, axes, crop)
-    halves = _halves(a, b, axes, lengths)
-    if halves:
-        return np.concatenate(_on_two_threads(_one_off, *((x, y, axes, windows) for x, y in halves)))
-    return _one_off(a, b, axes, windows)
+    return _by_lines(lambda x, y: _one_off(x, y, axes, windows), a, b, axes, lengths, windows)
 
 
 def _one_off(a, b, axes, crop) -> np.ndarray:
@@ -119,25 +116,41 @@ def _one_off(a, b, axes, crop) -> np.ndarray:
     return _inverse(spec, *geometry)
 
 
-def _halves(other, b, axes, lengths) -> list:
-    """[(other, b) for the first ceil(lines/2) lines, then for the rest], to run
-    on two threads, or [] to run whole: b needs a leading axis outside `axes`
-    with two or more lines that `other` (the other operand or a prepared
-    spectrum, of no higher rank) matches or broadcasts, transforms covering
-    _SPLIT_POINTS points (lines x lengths), and a second usable CPU."""
+def _by_lines(fn, other, b, axes, lengths, windows) -> np.ndarray:
+    """fn(other, b): the kept windows of b's convolution with `other` (the other
+    operand, or a prepared spectrum of no higher rank).  It runs in two halves,
+    b's first ceil(lines/2) lines on this thread and the rest on a second one,
+    each writing its window into one output, when b has a leading axis outside
+    `axes` with two or more lines that `other` matches or broadcasts, the
+    transforms cover _SPLIT_POINTS points (lines x lengths) and a second CPU
+    is usable."""
+    import scipy.fft
+
     lines = b.shape[0] if -b.ndim not in axes else 1
     if lines < 2 or lines * math.prod(lengths) < _SPLIT_POINTS:
-        return []
+        return fn(other, b)
+    outside = [tuple(1 if i - len(s) in axes else e for i, e in enumerate(s))
+               for s in (other.shape, b.shape)]
     try:
-        joint = np.broadcast_shapes(*(tuple(1 if i - len(s) in axes else e for i, e in enumerate(s))
-                                      for s in (other.shape, b.shape)))
-    except ValueError:  # the one-thread path raises it, about the whole operands
-        return []
-    if len(joint) != b.ndim or joint[0] != lines or _usable_cpus() < 2:
-        return []
-    cut = (lines + 1) // 2
+        shape = list(np.broadcast_shapes(*outside))
+    except ValueError:  # fn raises it, about the whole operands
+        return fn(other, b)
+    if len(shape) != b.ndim or shape[0] != lines or _usable_cpus() < 2:
+        return fn(other, b)
+    for ax, (lo, hi) in zip(axes, windows):
+        shape[ax] = hi - lo
+    # the whole convolution's dtype: the real part of its product spectrum, where
+    # a real `other` transforms at scipy.fft's precision for its dtype
+    spec = other if np.iscomplexobj(other) else scipy.fft.rfft(np.zeros(1, other.dtype))
+    out = np.empty(shape, np.finfo(np.result_type(spec.dtype, b.dtype)).dtype)
     shared = other.ndim < b.ndim or other.shape[0] == 1
-    return [(other if shared else other[part], b[part]) for part in (slice(cut), slice(cut, None))]
+
+    def half(part):
+        out[part] = fn(other if shared else other[part], b[part])
+
+    cut = (lines + 1) // 2
+    _on_two_threads(half, (slice(cut),), (slice(cut, None),))
+    return out
 
 
 def _plan(a, b_shape, axes, crop):
@@ -194,12 +207,8 @@ class PreparedConv:
 
     def apply(self, b) -> np.ndarray:
         """The kept window of the convolution with `b`; other axes broadcast."""
-        b = self._checked(b)
-        halves = _halves(self.spectrum, b, self.axes, self.lengths)
-        if halves:
-            return np.concatenate(_on_two_threads(
-                _convolve, *((replace(self, spectrum=s), part) for s, part in halves)))
-        return _convolve(self, b)
+        return _by_lines(lambda s, part: _convolve(replace(self, spectrum=s), part),
+                         self.spectrum, self._checked(b), self.axes, self.lengths, self.windows)
 
     def _checked(self, b) -> np.ndarray:
         # `b` real, with the prepared extents, and at least at the spectrum's

@@ -199,6 +199,14 @@ class TestBenchCommands:
             assert all(isinstance(f, int) and f >= 0 for f in r["minor_faults"])
             assert r["suite"] == "seq" and np.isfinite(r["checksum"])
 
+    @pytest.mark.parametrize("show_config", [
+        lambda: None,  # an older numpy: no mode argument, so a TypeError
+        lambda mode: {"Build Dependencies": {}},
+    ])
+    def test_json_blas_unknown(self, show_config, monkeypatch):
+        monkeypatch.setattr(np, "show_config", show_config)
+        assert bench.environment()["blas"] is None
+
     def test_seq_times_first_calls(self, monkeypatch):
         # every call, untimed ones included, builds its kernel: no cache hit is timed
         calls = []

@@ -279,7 +279,7 @@ CONV_GRID_CASES = (
 
 
 class TestLineSplit:
-    # With two usable CPUs, a convolution whose transforms cover 2**18 points
+    # With two usable CPUs, a convolution whose transforms cover 2**19 points
     # (lines x transform lengths) runs half of b's leading-axis lines on a
     # second thread.  Outputs must equal the one-CPU run bit for bit, and the
     # split must really engage.
@@ -299,7 +299,7 @@ class TestLineSplit:
         for a, b in zip(one, two):
             assert a.dtype == b.dtype and a.shape == b.shape
             assert a.tobytes() == b.tobytes()
-            # a split result is a fresh concatenation; a whole one may be a window
+            # a split result is one fresh output; a whole one may be a window
             assert b.flags.c_contiguous and (a.flags.c_contiguous or not contiguous)
 
     @pytest.mark.parametrize("mode", ["full", "same", "valid", "circular"])
@@ -320,35 +320,45 @@ class TestLineSplit:
 
     def test_broadcast_operands(self, thread_starts, allow_cpus):
         rng = Rng(63)
-        # a shared [1, N] operand against five lines (3 + 2), and a [4, 1, N]
+        # a shared [1, N] operand against nine lines (5 + 4), and an [8, 1, N]
         # operand whose second axis broadcasts up to b's three columns
-        a1, b1 = randn(rng, (1, 60000)), randn(rng, (5, 500))
-        a2, b2 = randn(rng, (4, 1, 70000)), randn(rng, (4, 3, 200))
+        a1, b1 = randn(rng, (1, 60000)), randn(rng, (9, 500))
+        a2, b2 = randn(rng, (8, 1, 70000)), randn(rng, (8, 3, 200))
         self.assert_bits(lambda: [linear_fft_conv(a1, b1, (1,)),
                                   linear_fft_conv(a2, b2, (-1,), [(100, 60100)])], 2,
                          thread_starts, allow_cpus, contiguous=False)
 
+    @pytest.mark.parametrize("dtype", [np.int8, np.float16])
+    def test_output_dtype_follows_scipy_fft(self, dtype, thread_starts, allow_cpus):
+        # scipy.fft transforms integers at f64 and f16 at f32, so the one
+        # output both halves write into must take the whole call's dtype
+        a = (np.arange(16 * 20000) % 7).reshape(16, 20000).astype(dtype)
+        self.assert_bits(lambda: [linear_fft_conv(a, a[:, ::-1], (1,))], 1,
+                         thread_starts, allow_cpus, contiguous=False)
+
+    @pytest.mark.parametrize("depth,started", [(8, 0), (16, 2)])
     @pytest.mark.parametrize("bidirectional", [False, True])
-    def test_kept_gconv_spectrum(self, bidirectional, thread_starts, allow_cpus):
+    def test_kept_gconv_spectrum(self, bidirectional, depth, started, thread_starts, allow_cpus):
         rng = Rng(64)
-        params = GConvParams(width=32, depth=8, base_kernel=randn(rng, (32, 8)),
-                             bidirectional=bidirectional, bias=randn(rng, (8,)))
-        signal = randn(rng, (16384, 8))
+        params = GConvParams(width=32, depth=depth, base_kernel=randn(rng, (32, depth)),
+                             bidirectional=bidirectional, bias=randn(rng, (depth,)))
+        signal = randn(rng, (16384, depth))
 
         def twice():
             fresh = replace(params)  # the first call prepares the spectrum, the second reuses it
             return [gconv_forward(signal, fresh), gconv_forward(signal, fresh)]
 
-        # 8 lines x 32768 points = 2**18, from the first call's apply on
-        self.assert_bits(twice, 2, thread_starts, allow_cpus)
+        # 32768 points a line: long_seq's 8 lines stay whole, 16 lines (2**19)
+        # split from the first call's apply on
+        self.assert_bits(twice, started, thread_starts, allow_cpus)
 
     def test_batched_causal_conv_shares_the_kernel_spectrum(self, thread_starts, allow_cpus):
         rng = Rng(65)
-        kernel, u = randn(rng, (16384,)), randn(rng, (9, 16384))
+        kernel, u = randn(rng, (16384,)), randn(rng, (17, 16384))
         self.assert_bits(lambda: [causal_fft_conv(kernel, u)], 1, thread_starts, allow_cpus,
                          contiguous=False)
 
-    @pytest.mark.parametrize("lines,started", [(1, 0), (7, 0), (8, 1), (9, 1)])
+    @pytest.mark.parametrize("lines,started", [(1, 0), (8, 0), (15, 0), (16, 1), (17, 1)])
     def test_split_starts_at_the_threshold(self, lines, started, thread_starts, allow_cpus):
         # causal convolutions at L=16384 transform 32768 points per line
         allow_cpus(2)
@@ -373,10 +383,10 @@ class TestLineSplit:
         nan_image[2, 7, 7] = np.nan
         calls = [
             lambda: fft_xcorr2d(nan_image, np.ones((3, 3, 3))),
-            lambda: causal_fft_conv(np.ones(16384), np.full((8, 16384), np.inf)),
+            lambda: causal_fft_conv(np.ones(16384), np.full((16, 16384), np.inf)),
             # the axes outside the convolved one must broadcast: (2, .) against (3, .)
-            lambda: linear_fft_conv(np.ones((4, 2, 70000)), np.ones((4, 3, 200)), (-1,)),
-            lambda: prepare_conv(np.ones((8, 16384)), (8, 16384), (1,)).apply(np.ones((8, 100))),
+            lambda: linear_fft_conv(np.ones((8, 2, 70000)), np.ones((8, 3, 200)), (-1,)),
+            lambda: prepare_conv(np.ones((16, 16384)), (16, 16384), (1,)).apply(np.ones((16, 100))),
         ]
         for call in calls:
             messages = []
@@ -404,7 +414,7 @@ class TestLineSplit:
             call = lambda: fft_xcorr2d(np.ones((3, 512, 512)), np.ones((3, 3, 3)))  # noqa: E731
         else:
             conv = prepare_conv(np.ones(16384), (16384,), (-1,), [(0, 16384)])
-            call = lambda: conv.apply(np.ones((8, 16384)))  # noqa: E731
+            call = lambda: conv.apply(np.ones((16, 16384)))  # noqa: E731
         before = threading.active_count()
         with pytest.raises(FloatingPointError, match="worker half"):
             call()
